@@ -8,6 +8,7 @@ failed conjecture is a normal result carried in the report, never an error.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Sequence
@@ -18,10 +19,10 @@ from .machine import (
     _compiled_runner,
     classical_machine,
     consecutive_machine,
+    scan,
 )
 from .permutations import (
     Perm,
-    all_permutations,
     consecutive,
     format_permutation,
     is_vee_shaped,
@@ -65,13 +66,8 @@ def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -
     permutations nobody maps to.
     """
     bounds.check_scan_bound(n, max_n, "periodic_points")
-    runner = _compiled_runner(spec)
-    image: dict[Perm, Perm] = {}
-    indegree: dict[Perm, int] = {}
-    for p in all_permutations(n):
-        q = runner(p)
-        image[p] = q
-        indegree[q] = indegree.get(q, 0) + 1
+    image: dict[Perm, Perm] = dict(scan(spec, n))
+    indegree = Counter(image.values())
     queue = [p for p in image if p not in indegree]
     dead: set[Perm] = set()
     while queue:
@@ -249,9 +245,10 @@ def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureRe
     holds = True
     slow: Perm | None = None
     violator: Perm | None = None
-    for p in all_permutations(n):
-        x = p
-        t = 0
+    for p, x in scan(spec, n):
+        if is_vee_shaped(p):
+            continue
+        t = 1
         while t <= cap and not is_vee_shaped(x):
             x = runner(x)
             t += 1
@@ -321,9 +318,8 @@ def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
     slow_count = 0
     first_slow: Perm | None = None
     bad: Perm | None = None
-    for p in all_permutations(n):
-        x = p
-        for _ in range(n - 2):
+    for p, x in scan(spec, n):
+        for _ in range(n - 3):
             x = runner(x)
         if is_vee_shaped(x):
             continue
@@ -439,7 +435,12 @@ def run_conjecture(
     sigma: Sequence[int] | None = None,
     max_n: int = bounds.SCAN_BOUND,
 ) -> ConjectureReport:
-    """Evaluate one named conjecture at every applicable size up to n."""
+    """Evaluate one named conjecture at every applicable size up to n.
+
+    Raises ValueError when no size up to n applies (``2n-4`` and ``vn-limit``
+    start at n = 3, ``general-periodic`` at n = 1), rather than report a
+    vacuous verdict.
+    """
     if name == "fine-transform":
         return probe_fine_transform(n, max_n=max_n)
     if name == "fertility-spectrum":
@@ -469,6 +470,8 @@ def run_conjecture(
 
 
 def _aggregate(name: str, n: int, reports: list[ConjectureReport]) -> ConjectureReport:
+    if not reports:
+        raise ValueError(f"conjecture {name} has no case to check up to n = {n}")
     holds = all(r.holds for r in reports)
     witnesses = tuple(w for r in reports for w in r.witnesses)
     details = {"cases": [dict(r.details, n=r.n, holds=r.holds) for r in reports]}

@@ -10,13 +10,16 @@ compiled deciders below test.
 
 from __future__ import annotations
 
+import itertools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
     PatternSpec,
     Perm,
+    _rel_pairs,
     ascending_runs,
     classical,
     consecutive,
@@ -75,8 +78,14 @@ def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> 
 
 
 @lru_cache(maxsize=None)
-def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
-    """Build a fast closure computing the machine image of a permutation."""
+def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterable[int]], None]:
+    """Build a fast resumable machine body: ``feed(stack, out, values)``.
+
+    Pushes ``values`` one by one onto ``stack`` (bottom to top), appending
+    every pop to ``out``; the stack is not drained, so a copy of the state can
+    be resumed with further input.  The function's name, ``feed_<variant>``,
+    labels the variant.
+    """
     pats = spec.forbidden
 
     if all(p.is_consecutive for p in pats):
@@ -84,11 +93,9 @@ def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
             b = pats[0].body
             b01, b02, b12 = b[0] < b[1], b[0] < b[2], b[1] < b[2]
 
-            def run_consec3(perm):
-                stack: list[int] = []
-                out: list[int] = []
-                d = 0
-                for c in perm:
+            def feed_consec3(stack, out, values):
+                d = len(stack)
+                for c in values:
                     while d >= 2:
                         t1 = stack[-1]
                         t2 = stack[-2]
@@ -99,19 +106,14 @@ def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
                             break
                     stack.append(c)
                     d += 1
-                while stack:
-                    out.append(stack.pop())
-                return tuple(out)
 
-            return run_consec3
+            return feed_consec3
 
-        rels = tuple((len(p.body), _pairs(p.body)) for p in pats)
+        rels = tuple((len(p.body), _rel_pairs(p.body)) for p in pats)
 
-        def run_consecutive(perm):
-            stack: list[int] = []
-            out: list[int] = []
-            d = 0
-            for c in perm:
+        def feed_consecutive(stack, out, values):
+            d = len(stack)
+            for c in values:
                 popped = True
                 while popped:
                     popped = False
@@ -132,11 +134,8 @@ def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
                             break
                 stack.append(c)
                 d += 1
-            while stack:
-                out.append(stack.pop())
-            return tuple(out)
 
-        return run_consecutive
+        return feed_consecutive
 
     if len(pats) == 1 and pats[0].is_classical and len(pats[0].body) == 3:
         b = pats[0].body
@@ -144,10 +143,8 @@ def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
         q_above = b[0] < b[2]   # relation of the last occurrence entry to c
         p_gt_q = b[1] > b[2]
 
-        def run_classical3(perm):
-            stack: list[int] = []
-            out: list[int] = []
-            for c in perm:
+        def feed_classical3(stack, out, values):
+            for c in values:
                 while stack:
                     # scan top to bottom for entries v_p, v_q (p above q) with
                     # the relative order of (c, v_p, v_q) matching the body
@@ -171,29 +168,36 @@ def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
                     else:
                         break
                 stack.append(c)
-            while stack:
-                out.append(stack.pop())
-            return tuple(out)
 
-        return run_classical3
+        return feed_classical3
 
-    def run_generic(perm):
-        stack: list[int] = []
-        out: list[int] = []
-        for c in perm:
+    def feed_generic(stack, out, values):
+        for c in values:
             while stack and _push_blocked_reference(spec, stack, c):
                 out.append(stack.pop())
             stack.append(c)
-        while stack:
-            out.append(stack.pop())
+
+    return feed_generic
+
+
+@lru_cache(maxsize=None)
+def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
+    """The machine image of one permutation, by the compiled feed body.
+
+    Named ``run_<variant>`` after the feed it wraps.
+    """
+    feed = _compiled_feed(spec)
+
+    def runner(perm):
+        stack: list[int] = []
+        out: list[int] = []
+        feed(stack, out, perm)
+        stack.reverse()
+        out += stack
         return tuple(out)
 
-    return run_generic
-
-
-def _pairs(body: Sequence[int]):
-    k = len(body)
-    return tuple((i, j, body[i] < body[j]) for i in range(k) for j in range(i + 1, k))
+    runner.__name__ = runner.__qualname__ = feed.__name__.replace("feed_", "run_", 1)
+    return runner
 
 
 def run(spec: MachineSpec, perm: Sequence[int]) -> Perm:
@@ -203,6 +207,69 @@ def run(spec: MachineSpec, perm: Sequence[int]) -> Perm:
     (6, 5, 3, 1, 4, 2)
     """
     return _compiled_runner(spec)(tuple(perm))
+
+
+# ---------------------------------------------------------------------------
+# the scan over S_n
+# ---------------------------------------------------------------------------
+
+# Every permutation shares its machine state up to its last _SUFFIX entries
+# with _SUFFIX! - 1 others, so that state is computed once and copied; 4 was
+# the fastest split at n = 9 among 2..5.
+_SUFFIX = 4
+
+
+def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[Perm, Perm]]:
+    """``(perm, image)`` for every permutation of [n] starting with ``prefix``,
+    in lexicographic order.
+
+    >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))
+    [((2, 1, 3), (1, 2, 3)), ((2, 3, 1), (2, 1, 3))]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prefix = tuple(prefix)
+    if len(set(prefix)) != len(prefix) or not all(1 <= v <= n for v in prefix):
+        raise ValueError(f"prefix must hold distinct values of 1..{n}: {prefix!r}")
+    feed = _compiled_feed(spec)
+    rest = [v for v in range(1, n + 1) if v not in prefix]
+    stack: list[int] = []
+    out: list[int] = []
+    feed(stack, out, prefix)
+    for head in itertools.permutations(rest, max(len(rest) - _SUFFIX, 0)):
+        head_stack = stack.copy()
+        head_out = out.copy()
+        feed(head_stack, head_out, head)
+        start = prefix + head
+        for tail in itertools.permutations([v for v in rest if v not in head]):
+            s = head_stack.copy()
+            o = head_out.copy()
+            feed(s, o, tail)
+            s.reverse()
+            o += s
+            yield start + tail, tuple(o)
+
+
+def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> Iterator:
+    """``reduce`` applied to the scan of S_n, one result per partition.
+
+    Serially the whole scan is one partition; with ``jobs > 1`` each first
+    entry is one, run in a process pool.  ``reduce`` takes an iterator of
+    ``(perm, image)`` pairs and must be a module-level function, so that it
+    pickles.  Results are yielded as they arrive, so that the caller can fold
+    each one in before the next.
+    """
+    if jobs > 1 and n >= 2:
+        tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_reduce_partition, tasks)
+    else:
+        yield _reduce_partition((reduce, spec, n, ()))
+
+
+def _reduce_partition(task) -> object:
+    reduce, spec, n, prefix = task
+    return reduce(scan(spec, n, prefix))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -172,8 +173,12 @@ def vincular(body: Iterable[int], adjacency: Iterable[int]) -> PatternSpec:
     return PatternSpec(tuple(body), frozenset(adjacency))
 
 
-def _rel_pairs(body: Sequence[int]) -> tuple[tuple[int, int, bool], ...]:
-    """All (i, j, body[i] < body[j]) with i < j; order-isomorphism table."""
+@lru_cache(maxsize=None)
+def _rel_pairs(body: Perm) -> tuple[tuple[int, int, bool], ...]:
+    """All (i, j, body[i] < body[j]) with i < j; order-isomorphism table.
+
+    Cached per pattern body, as containment tests ask for it on every call.
+    """
     k = len(body)
     return tuple(
         (i, j, body[i] < body[j]) for i in range(k) for j in range(i + 1, k)

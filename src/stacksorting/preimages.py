@@ -6,18 +6,16 @@ S_n rather than inverting per target.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import bounds
-from .machine import MachineSpec, _compiled_runner, consecutive_machine
+from .machine import MachineSpec, consecutive_machine, scan, scan_reduce
 from .permutations import (
     Perm,
-    all_permutations,
     as_permutation,
     ascent_slot_counts,
     descent_prefix_counts,
@@ -40,19 +38,12 @@ def fiber(spec: MachineSpec, target: Sequence[int], max_n: int = bounds.SCAN_BOU
     target = as_permutation(target)
     n = len(target)
     bounds.check_scan_bound(n, max_n, "fiber")
-    runner = _compiled_runner(spec)
-    members = tuple(p for p in all_permutations(n) if runner(p) == target)
+    members = tuple(p for p, image in scan(spec, n) if image == target)
     return FiberReport(target, members)
 
 
-def _tally_block(args) -> Counter:
-    spec, n, first = args
-    runner = _compiled_runner(spec)
-    rest = [v for v in range(1, n + 1) if v != first]
-    c: Counter = Counter()
-    for tail in itertools.permutations(rest):
-        c[runner((first,) + tail)] += 1
-    return c
+def _tally_images(pairs: Iterable[tuple[Perm, Perm]]) -> Counter:
+    return Counter(map(itemgetter(1), pairs))
 
 
 def image_tally(
@@ -60,17 +51,10 @@ def image_tally(
 ) -> Counter:
     """Multiset of machine images over all of S_n (fiber sizes by target)."""
     bounds.check_scan_bound(n, max_n, "image_tally")
-    if jobs > 1 and n >= 2:
-        tasks = [(spec, n, first) for first in range(1, n + 1)]
-        merged: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_tally_block, tasks):
-                merged.update(part)
-        return merged
-    runner = _compiled_runner(spec)
-    tally: Counter = Counter()
-    for p in all_permutations(n):
-        tally[runner(p)] += 1
+    parts = scan_reduce(spec, n, _tally_images, jobs)
+    tally = next(parts)
+    for part in parts:
+        tally.update(part)
     return tally
 
 

@@ -18,14 +18,17 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def motzkin(n: int) -> int:
-    """Motzkin numbers via M_n = M_{n-1} + sum M_i M_{n-2-i}."""
+    """Motzkin numbers via (k + 2) M_k = (2k + 1) M_{k-1} + 3(k - 1) M_{k-2}.
+
+    Iterative; the division is always exact.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= 1:
-        return 1
-    return motzkin(n - 1) + sum(motzkin(i) * motzkin(n - 2 - i) for i in range(n - 1))
+    prev, cur = 1, 1  # M_{k-2}, M_{k-1}
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k + 1) * cur + 3 * (k - 1) * prev) // (k + 2)
+    return cur
 
 
 def generalized_motzkin(k_minus_1: int, n: int) -> int:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Sequence
+from operator import countOf, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds
-from .machine import MachineSpec, _compiled_runner, run, stack_sort
+from .machine import MachineSpec, run, scan, scan_reduce
 from .permutations import (
     Perm,
     all_permutations,
@@ -22,10 +22,8 @@ from .permutations import (
     consecutive,
     contains,
     descending_runs,
-    identity,
     standardize,
     swap_first_two,
-    vincular,
 )
 
 
@@ -44,27 +42,15 @@ def avoids_231(seq: Sequence[int]) -> bool:
 
 def is_sortable(spec: MachineSpec, perm: Sequence[int]) -> bool:
     """Does the machine output avoid 231 (equivalently: sort via a second stack)?"""
-    out = run(spec, perm)
-    ok = avoids_231(out)
-    # double-entry bookkeeping: the definition via the second stack pass
-    assert ok == (stack_sort(out) == identity(len(out)))
-    return ok
+    return avoids_231(run(spec, perm))
 
 
 def sortable_members(spec: MachineSpec, n: int) -> Iterator[Perm]:
-    runner = _compiled_runner(spec)
-    return (p for p in all_permutations(n) if avoids_231(runner(p)))
+    return (p for p, image in scan(spec, n) if avoids_231(image))
 
 
-def _count_sortable_block(args) -> int:
-    spec, n, first = args
-    runner = _compiled_runner(spec)
-    rest = [v for v in range(1, n + 1) if v != first]
-    return sum(
-        1
-        for tail in itertools.permutations(rest)
-        if avoids_231(runner((first,) + tail))
-    )
+def _count_sortable_images(pairs: Iterable[tuple[Perm, Perm]]) -> int:
+    return countOf(map(avoids_231, map(itemgetter(1), pairs)), True)
 
 
 def count_sortable(
@@ -72,12 +58,7 @@ def count_sortable(
 ) -> int:
     """|{p in S_n : sortable}| by a full scan; partition-parallel when jobs > 1."""
     bounds.check_scan_bound(n, max_n, "count_sortable")
-    if jobs > 1 and n >= 2:
-        tasks = [(spec, n, first) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_count_sortable_block, tasks))
-    runner = _compiled_runner(spec)
-    return sum(1 for p in all_permutations(n) if avoids_231(runner(p)))
+    return sum(scan_reduce(spec, n, _count_sortable_images, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +86,16 @@ def structural_sortable_132(perm: Sequence[int]) -> bool:
     return True
 
 
-# A descending-run violation is a consecutive descending triple followed by a
-# larger-than-middle entry; split by where that entry ranks, these are the two
-# patterns below with their first three entries required adjacent.  (A third
-# pattern circulates with the last entry ranked below the triple's middle, but
-# it over-rejects: 4312 itself is sortable.)
-_V123 = (
-    vincular((3, 2, 1, 4), (1, 2)),
-    vincular((4, 2, 1, 3), (1, 2)),
-)
 _P132 = classical((1, 3, 2))
 
 
-def _sortable_123_run_conditions(perm: Sequence[int]) -> bool:
+def structural_sortable_123(perm: Sequence[int]) -> bool:
+    """Sortability under the 123 consecutive machine, without simulation.
+
+    Avoid 132, and every descending run of length >= 3 must have an interval
+    interior and nothing larger than its second-to-last entry to the right.
+    The test suite checks this against an equivalent vincular-avoidance form.
+    """
     if contains(perm, _P132):
         return False
     pos = 0
@@ -132,20 +110,6 @@ def _sortable_123_run_conditions(perm: Sequence[int]) -> bool:
                 return False
         pos = end
     return True
-
-
-def structural_sortable_123(perm: Sequence[int]) -> bool:
-    """Sortability under the 123 consecutive machine, without simulation.
-
-    Primary form: avoid 132, and every descending run of length >= 3 must have
-    an interval interior and nothing larger than its second-to-last entry to
-    the right.  The equivalent vincular-avoidance form is cross-checked.
-    """
-    ok = _sortable_123_run_conditions(perm)
-    assert ok == (
-        not contains(perm, _P132) and not any(contains(perm, v) for v in _V123)
-    )
-    return ok
 
 
 def structural_sortable_decreasing(perm: Sequence[int], k: int) -> bool:

@@ -107,6 +107,11 @@ class TestConjectureCommand:
         code, _, err = invoke(capsys, "conjecture", "--name", "goldbach", "--n", "4")
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["2n-4", "vn-limit"])
+    def test_no_applicable_case_exits_1(self, capsys, name):
+        code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", "2")
+        assert code == 1 and out == "" and "no case" in err
+
     def test_single_sigma(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "--name", "general-periodic",
                               "--n", "5", "--sigma", "1234")

@@ -209,6 +209,12 @@ class TestProbes:
         assert set(per) == {"123", "132", "213", "231", "312", "321"}
         assert r.details["classic_stack_missing_3"]
 
+    @pytest.mark.parametrize("name", ["2n-4", "vn-limit"])
+    def test_run_conjecture_without_cases_rejected(self, name):
+        # both probes start at n = 3; below it there is nothing to verify
+        with pytest.raises(ValueError):
+            run_conjecture(name, 2)
+
     def test_run_conjecture_aggregates(self):
         r = run_conjecture("2n-4", 4)
         assert isinstance(r, ConjectureReport)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import pattern_bodies, permutations_up_to
 from stacksorting.machine import (
     MachineSpec,
+    _compiled_runner,
     _push_blocked_reference,
     classical_machine,
     consecutive_123_image,
@@ -16,6 +17,7 @@ from stacksorting.machine import (
     output_of_trace,
     premature_entries,
     run,
+    scan,
     stack_sort,
     trace,
 )
@@ -31,6 +33,8 @@ from stacksorting.permutations import (
     reverse,
     vincular,
 )
+from stacksorting.preimages import image_tally
+from stacksorting.sortable import count_sortable
 
 SC231 = consecutive_machine((2, 3, 1))
 SC132 = consecutive_machine((1, 3, 2))
@@ -154,6 +158,72 @@ class TestEngineAgreement:
                         if stack:
                             assert not contains((c, *reversed(stack)), pat)
                         stack.append(c)
+
+
+def _every_machine_shape():
+    """Every body of length 2 to 4 in all three modes, and the {123, 321} pair.
+
+    (At length 2 the vincular {1} mode is the consecutive one.)
+    """
+    specs = []
+    for k in (2, 3, 4):
+        for body in itertools.permutations(range(1, k + 1)):
+            for pat in (consecutive(body), classical(body), vincular(body, (1,))):
+                specs.append(machine_of([pat]))
+    specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
+    return list(dict.fromkeys(specs))
+
+
+# one machine per compiled runner variant
+RUNNER_VARIANTS = {
+    "run_consec3": SC231,
+    "run_consecutive": consecutive_machine((1, 2, 3), (3, 2, 1)),
+    "run_classical3": classical_machine((1, 3, 2)),
+    "run_generic": classical_machine((1, 3, 2, 4)),
+}
+
+
+class TestScan:
+    """The prefix-shared scan agrees with one run per permutation, and the
+    runners with the reference decider, exhaustively for n <= 6."""
+
+    @pytest.mark.parametrize("spec", _every_machine_shape(), ids=str)
+    def test_scan_matches_run_and_reference(self, spec):
+        for n in range(7):
+            expected = [(p, run(spec, p)) for p in all_permutations(n)]
+            for p, image in expected:
+                assert image == output_of_trace(trace(spec, p, record_stacks=False))
+            assert list(scan(spec, n)) == expected
+            for first in range(1, n + 1):
+                assert list(scan(spec, n, (first,))) == [
+                    pair for pair in expected if pair[0][0] == first
+                ]
+
+    def test_longer_prefix(self):
+        assert list(scan(SC231, 7, (3, 1, 7))) == [
+            (p, run(SC231, p)) for p in all_permutations(7) if p[:3] == (3, 1, 7)
+        ]
+
+    @pytest.mark.parametrize("prefix", [(0,), (4,), (1, 1)])
+    def test_bad_prefix_rejected(self, prefix):
+        with pytest.raises(ValueError):
+            list(scan(SC231, 3, prefix))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            list(scan(SC231, -1))
+        with pytest.raises(ValueError):
+            count_sortable(SC231, -1)
+
+    @pytest.mark.parametrize("name", sorted(RUNNER_VARIANTS))
+    def test_runner_variant_names(self, name):
+        assert _compiled_runner(RUNNER_VARIANTS[name]).__name__ == name
+
+    @pytest.mark.parametrize("name", sorted(RUNNER_VARIANTS))
+    def test_jobs_agree(self, name):
+        spec = RUNNER_VARIANTS[name]
+        assert count_sortable(spec, 7, jobs=2) == count_sortable(spec, 7, jobs=1)
+        assert image_tally(spec, 7, jobs=2) == image_tally(spec, 7, jobs=1)
 
 
 class TestIdentities:

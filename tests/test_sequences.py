@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,11 @@ class TestMotzkin:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             motzkin(-1)
+
+    def test_large_n_against_catalan_sum(self):
+        # M_n = sum_k C(n, 2k) C_k; n = 5000 once overflowed the recursion limit
+        for n in (*range(30), 5000):
+            assert motzkin(n) == sum(comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
 
 
 class TestGeneralizedMotzkin:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dyck_words
-from stacksorting.machine import classical_machine, consecutive_machine, run, stack_sort
+from stacksorting.machine import (
+    classical_machine,
+    consecutive_machine,
+    run,
+    scan,
+    stack_sort,
+)
 from stacksorting.permutations import (
     all_permutations,
     classical,
@@ -47,6 +53,14 @@ class TestAvoids231:
                 fast = avoids_231(p)
                 assert fast == (not contains(p, pat))
                 assert fast == (stack_sort(p) == identity(n))
+
+    def test_matches_second_stack_on_machine_images(self):
+        # sortability by avoids_231 equals sorting by a second stack pass
+        for body in itertools.permutations((1, 2, 3)):
+            spec = consecutive_machine(body)
+            for n in range(9):
+                for _, image in scan(spec, n):
+                    assert avoids_231(image) == (stack_sort(image) == identity(n))
 
 
 class TestIsSortable:
@@ -136,6 +150,24 @@ class TestStructural123:
         for n in range(8):
             for p in all_permutations(n):
                 assert structural_sortable_123(p) == is_sortable(SC123, p)
+
+    def test_agrees_with_vincular_form(self):
+        # A descending-run violation is a consecutive descending triple
+        # followed by a larger-than-middle entry; split by where that entry
+        # ranks, these are the two patterns below with their first three
+        # entries required adjacent.  (A third pattern circulates with the
+        # last entry ranked below the triple's middle, but it over-rejects:
+        # 4312 itself is sortable.)
+        forbidden = (
+            classical((1, 3, 2)),
+            vincular((3, 2, 1, 4), (1, 2)),
+            vincular((4, 2, 1, 3), (1, 2)),
+        )
+        for n in range(9):
+            for p in all_permutations(n):
+                assert structural_sortable_123(p) == (
+                    not any(contains(p, pat) for pat in forbidden)
+                )
 
     def test_members_starting_with_max(self):
         for n in range(1, 8):
