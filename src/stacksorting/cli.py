@@ -290,7 +290,7 @@ def cmd_sortable(pattern, mode, n, count_only, list_, bfile, jobs, unsafe_n):
             click.echo(f"{m} {sortable.count_sortable(spec, m, max_n=max_n, jobs=jobs)}")
         return
     if list_:
-        for p in sortable.sortable_members(spec, n):
+        for p in sortable.sortable_members(spec, n, max_n=max_n):
             click.echo(format_permutation(p))
         return
     click.echo(str(sortable.count_sortable(spec, n, max_n=max_n, jobs=jobs)))
@@ -342,9 +342,11 @@ def cmd_class_check(pattern, brute_n):
 @click.option("--bfile", is_flag=True)
 @click.option("--format", "fmt", default="plain", show_default=True,
               type=click.Choice(["plain", "json", "csv", "bfile"]))
-def cmd_seq(name, upto, bfile, fmt):
+@unsafe_option
+def cmd_seq(name, upto, bfile, fmt, unsafe_n):
     """Print a reference integer sequence."""
-    table = sequences.named_sequence(name, upto)
+    max_upto = upto if unsafe_n else bounds.SEQ_BOUND
+    table = sequences.named_sequence(name, upto, max_upto=max_upto)
     if bfile or fmt == "bfile":
         for line in table.bfile_lines():
             click.echo(line)

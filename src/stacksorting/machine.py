@@ -6,6 +6,15 @@ to the output.  Once the input is exhausted the stack is drained.  Because the
 current stack always avoids the forbidden patterns, a push can only be illegal
 through an occurrence whose first entry is the incoming one, which is what the
 compiled deciders below test.
+
+Every machine gets one push decider generated from its patterns: straight-line
+nested loops over the stack depths of the occurrence entries after the first,
+with a single step for each adjacent position (see ``_decider_source``).  Two
+single-pattern shapes keep a hand-written fast path that beats it: consecutive
+length 3 (``consec3``) and classical length 3 (``classical3``).  The other
+machines run the generated decider, labelled ``consecutive`` when all their
+patterns are consecutive and ``generic`` otherwise.  ``trace`` keeps the
+backtracking reference decider, against which the tests check the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .permutations import (
     PatternSpec,
     Perm,
-    _rel_pairs,
     ascending_runs,
     classical,
     consecutive,
@@ -77,6 +85,78 @@ def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> 
     return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
 
 
+# CPython compiles at most 20 nested loops into one function; an occurrence
+# search that needs more continues in a further generated function.
+_MAX_LOOPS = 20
+
+
+def _plus(name: str, off: int) -> str:
+    """Source of ``name + off``; an empty ``name`` stands for 0."""
+    if not name:
+        return str(off)
+    if off == 0:
+        return name
+    return f"{name} + {off}" if off > 0 else f"{name} - {-off}"
+
+
+def _decider_source(spec: MachineSpec) -> str:
+    """Source of ``blocked(stack, c)``: would pushing c onto ``stack`` (bottom
+    to top) create an occurrence of a forbidden pattern?
+
+    The occurrence must start at c, so each pattern of length k is one block of
+    nested loops over the stack depths i1 < i2 < .. < i(k-1) of its other
+    entries v1, v2, .., read as ``stack[-i]``.  A level whose position is in
+    the pattern's adjacency set is the single step one below the level above,
+    not a loop.  Each level checks that its entry lies between the two nearest
+    of c, v1, .. in the pattern's value order, which makes the chosen entries
+    order-isomorphic to the pattern.  Only integers derived from the validated
+    pattern enter the source.
+    """
+    blocked = ["def blocked(stack, c):", "    n = len(stack)"]
+    functions = [blocked]
+    for j, pat in enumerate(spec.forbidden):
+        body, k = pat.body, len(pat.body)
+        lines = blocked
+        lines.append(f"    if n >= {k - 1}:")
+        pad = "        "
+        base, off, loops = "", 0, 0  # the level above sits at depth base + off
+        for t in range(1, k):
+            if t in pat.adjacency:
+                off += 1
+            else:
+                if loops == _MAX_LOOPS:
+                    name = f"blocked_{j}_{t}"
+                    values = ", ".join(f"v{s}" for s in range(1, t))
+                    lines.append(f"{pad}if {name}(stack, n, c, {values}, {_plus(base, off)}):")
+                    lines.append(f"{pad}    return True")
+                    lines = [f"def {name}(stack, n, c, {values}, d):"]
+                    functions.append(lines)
+                    pad, base, off, loops = "    ", "d", 0, 0
+                lines.append(
+                    f"{pad}for i{t} in range({_plus(base, off + 1)}, {_plus('n', t + 2 - k)}):"
+                )
+                pad += "    "
+                base, off, loops = f"i{t}", 0, loops + 1
+            lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
+            earlier = [(body[s], f"v{s}" if s else "c") for s in range(t)]
+            below = [ref for value, ref in sorted(earlier) if value < body[t]]
+            above = [ref for value, ref in sorted(earlier) if value > body[t]]
+            chain = " < ".join(below[-1:] + [f"v{t}"] + above[:1])
+            lines.append(f"{pad}if {chain}:")
+            pad += "    "
+        lines.append(f"{pad}return True")
+    for lines in functions:
+        lines.append("    return False")
+    return "\n".join(line for lines in functions for line in lines) + "\n"
+
+
+def _generated_decider(spec: MachineSpec) -> Callable[[list[int], int], bool]:
+    """``blocked(stack, c)`` compiled from :func:`_decider_source`."""
+    namespace: dict = {}
+    exec(compile(_decider_source(spec), "<generated push decider>", "exec"), namespace)
+    return namespace["blocked"]
+
+
 @lru_cache(maxsize=None)
 def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterable[int]], None]:
     """Build a fast resumable machine body: ``feed(stack, out, values)``.
@@ -88,54 +168,25 @@ def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterabl
     """
     pats = spec.forbidden
 
-    if all(p.is_consecutive for p in pats):
-        if len(pats) == 1 and len(pats[0].body) == 3:
-            b = pats[0].body
-            b01, b02, b12 = b[0] < b[1], b[0] < b[2], b[1] < b[2]
+    if len(pats) == 1 and pats[0].is_consecutive and len(pats[0].body) == 3:
+        b = pats[0].body
+        b01, b02, b12 = b[0] < b[1], b[0] < b[2], b[1] < b[2]
 
-            def feed_consec3(stack, out, values):
-                d = len(stack)
-                for c in values:
-                    while d >= 2:
-                        t1 = stack[-1]
-                        t2 = stack[-2]
-                        if (c < t1) == b01 and (c < t2) == b02 and (t1 < t2) == b12:
-                            out.append(stack.pop())
-                            d -= 1
-                        else:
-                            break
-                    stack.append(c)
-                    d += 1
-
-            return feed_consec3
-
-        rels = tuple((len(p.body), _rel_pairs(p.body)) for p in pats)
-
-        def feed_consecutive(stack, out, values):
+        def feed_consec3(stack, out, values):
             d = len(stack)
             for c in values:
-                popped = True
-                while popped:
-                    popped = False
-                    for k, rel in rels:
-                        if d < k - 1:
-                            continue
-                        hit = True
-                        for i, j, less in rel:
-                            wi = c if i == 0 else stack[-i]
-                            wj = stack[-j]
-                            if (wi < wj) != less:
-                                hit = False
-                                break
-                        if hit:
-                            out.append(stack.pop())
-                            d -= 1
-                            popped = True
-                            break
+                while d >= 2:
+                    t1 = stack[-1]
+                    t2 = stack[-2]
+                    if (c < t1) == b01 and (c < t2) == b02 and (t1 < t2) == b12:
+                        out.append(stack.pop())
+                        d -= 1
+                    else:
+                        break
                 stack.append(c)
                 d += 1
 
-        return feed_consecutive
+        return feed_consec3
 
     if len(pats) == 1 and pats[0].is_classical and len(pats[0].body) == 3:
         b = pats[0].body
@@ -171,13 +222,17 @@ def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterabl
 
         return feed_classical3
 
-    def feed_generic(stack, out, values):
+    blocked = _generated_decider(spec)
+
+    def feed(stack, out, values):
         for c in values:
-            while stack and _push_blocked_reference(spec, stack, c):
+            while stack and blocked(stack, c):
                 out.append(stack.pop())
             stack.append(c)
 
-    return feed_generic
+    variant = "consecutive" if all(p.is_consecutive for p in pats) else "generic"
+    feed.__name__ = feed.__qualname__ = "feed_" + variant
+    return feed
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,10 @@ Everything here is arbitrary-precision integer arithmetic; no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
+
+from . import bounds
 
 
 def catalan(n: int) -> int:
@@ -34,18 +35,24 @@ def motzkin(n: int) -> int:
 def generalized_motzkin(k_minus_1: int, n: int) -> int:
     """The k-generalized Motzkin number with parameter k = k_minus_1 + 1.
 
-    Computed as (1/(n+1)) * sum_j (-1)^j C(n+1, j) C(2n - j*k, n); the division
-    is always exact and is asserted rather than rounded.
+    Computed as (1/(n+1)) * sum_j (-1)^j C(n+1, j) C(2n - j*k, n), each
+    binomial from the one before by exact ratios; the division is always exact
+    and is checked rather than rounded.
     """
     if k_minus_1 < 2:
         raise ValueError("parameter must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     k = k_minus_1 + 1
-    total = sum(
-        (-1) ** j * comb(n + 1, j) * comb(2 * n - j * k, n)
-        for j in range(n // k + 1)
-    )
+    total = 0
+    a, m, b = 1, 2 * n, comb(2 * n, n)  # C(n+1, j), 2n - j*k, C(2n - j*k, n)
+    for j in range(n // k + 1):
+        if j:
+            a = a * (n + 2 - j) // j
+            for _ in range(k):
+                b = b * (m - n) // m
+                m -= 1
+        total += -a * b if j % 2 else a * b
     q, r = divmod(total, n + 1)
     if r:
         raise ArithmeticError(
@@ -54,25 +61,22 @@ def generalized_motzkin(k_minus_1: int, n: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
 def _fine_values(upto: int) -> tuple[int, ...]:
-    # y = x + y^2 term by term (y_n = catalan(n-1) for n >= 1), then
-    # F * (1 + y) = y solved for the series F.
-    y = [0] * (upto + 1)
-    if upto >= 1:
-        y[1] = 1
-    for n in range(2, upto + 1):
-        y[n] = sum(y[i] * y[n - i] for i in range(1, n))
-    f = [0] * (upto + 1)
-    for n in range(upto + 1):
-        f[n] = y[n] - sum(y[i] * f[n - i] for i in range(1, n + 1))
+    # F = y / (1 + y) with y = x + y^2 (y_k = catalan(k-1)) satisfies
+    # (2 + x) F = y + x, i.e. 2 F_k + F_{k-1} = catalan(k-1) for k >= 2.
+    f = [0, 1][: upto + 1]
+    cat = 1  # catalan(k-1)
+    for k in range(2, upto + 1):
+        cat = cat * 2 * (2 * k - 3) // k
+        f.append((cat - f[-1]) // 2)
     return tuple(f)
 
 
 def fine(k: int) -> int:
     """Coefficient of x^k in (1 - sqrt(1-4x)) / (3 - sqrt(1-4x)).
 
-    Exact truncated series arithmetic; F_0 = 0 under this generating function.
+    Exact, by the linear recurrence the generating function satisfies; F_0 = 0
+    under this generating function.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -107,10 +111,16 @@ def max_fiber_bound_132(n: int) -> int:
 
 
 def binomial_transform(seq: Sequence[int]) -> tuple[int, ...]:
-    """b_n = sum_k C(n, k) a_k."""
-    return tuple(
-        sum(comb(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))
-    )
+    """b_n = sum_k C(n, k) a_k, by repeated sums of neighbours.
+
+    After n rounds, entry j of the row is sum_k C(n, k) a_{j+k}.
+    """
+    row = list(seq)
+    out = []
+    while row:
+        out.append(row[0])
+        row = [a + b for a, b in zip(row, row[1:])]
+    return tuple(out)
 
 
 def first_differences(seq: Sequence[int]) -> tuple[int, ...]:
@@ -129,17 +139,24 @@ class SequenceTable:
         return [f"{self.offset + i} {v}" for i, v in enumerate(self.values)]
 
 
-_NAMED: dict[str, tuple[int, Callable[[int], int]]] = {
-    "catalan": (0, catalan),
-    "motzkin": (0, motzkin),
-    "fine": (0, fine),
-    "fine-transform": (0, fine_binomial_transform),
-    "motzkin-diff": (0, motzkin_difference),
-    "central-binomial": (0, central_binomial),
+def _each(fn: Callable[[int], int]) -> Callable[[int], Sequence[int]]:
+    return lambda upto: [fn(n) for n in range(upto + 1)]
+
+
+# each name's values for n = 0..upto
+_TABLES: dict[str, Callable[[int], Sequence[int]]] = {
+    "catalan": _each(catalan),
+    "motzkin": _each(motzkin),
+    "fine": _fine_values,
+    "fine-transform": lambda upto: binomial_transform(_fine_values(upto + 1)[1:]),
+    "motzkin-diff": _each(motzkin_difference),
+    "central-binomial": _each(central_binomial),
 }
 
 
-def named_sequence(name: str, upto: int) -> SequenceTable:
+def named_sequence(
+    name: str, upto: int, max_upto: int = bounds.SEQ_BOUND
+) -> SequenceTable:
     """Resolve a sequence name ("genmotzkin:<k>" takes the extra parameter)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
@@ -148,9 +165,10 @@ def named_sequence(name: str, upto: int) -> SequenceTable:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed sequence name: {name!r}") from None
-        values = tuple(generalized_motzkin(k - 1, n) for n in range(upto + 1))
-        return SequenceTable(name, 0, values)
-    if name not in _NAMED:
+        table = _each(lambda n: generalized_motzkin(k - 1, n))
+    elif name in _TABLES:
+        table = _TABLES[name]
+    else:
         raise ValueError(f"unknown sequence name: {name!r}")
-    offset, fn = _NAMED[name]
-    return SequenceTable(name, offset, tuple(fn(n) for n in range(upto + 1)))
+    bounds.check_scan_bound(upto, max_upto, "seq --upto")
+    return SequenceTable(name, 0, tuple(table(upto)))

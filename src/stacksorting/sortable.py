@@ -45,7 +45,14 @@ def is_sortable(spec: MachineSpec, perm: Sequence[int]) -> bool:
     return avoids_231(run(spec, perm))
 
 
-def sortable_members(spec: MachineSpec, n: int) -> Iterator[Perm]:
+def sortable_members(
+    spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND
+) -> Iterator[Perm]:
+    """The sortable permutations of [n], lazily, in lexicographic order.
+
+    The bound is checked at the call, not at the first ``next``.
+    """
+    bounds.check_scan_bound(n, max_n, "sortable_members")
     return (p for p, image in scan(spec, n) if avoids_231(image))
 
 

@@ -161,6 +161,25 @@ class TestSortableCommands:
                               "--list")
         assert code == 0 and len(out.splitlines()) == 5
 
+    def test_list_bound_exit_code(self, capsys):
+        code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "12",
+                                "--list")
+        assert code == 3 and out == "" and "n <= 9" in err
+
+    def test_list_unsafe_yields_first_member(self, monkeypatch):
+        # stop at the first listed member instead of listing all of S_12
+        class FirstLine(Exception):
+            pass
+
+        def echo(message=None, **kwargs):
+            raise FirstLine(message)
+
+        monkeypatch.setattr(cli.click, "echo", echo)
+        with pytest.raises(FirstLine) as first:
+            cli.main(["sortable", "--pattern", "231", "--n", "12", "--list",
+                      "--unsafe-n"])
+        assert first.value.args == ("1,2,3,4,5,6,7,8,9,10,11,12",)
+
     def test_bfile(self, capsys):
         code, out, _ = invoke(capsys, "sortable", "--pattern", "321", "--n", "5",
                               "--bfile")
@@ -227,6 +246,15 @@ class TestSeqCommand:
     def test_unknown(self, capsys):
         code, _, _ = invoke(capsys, "seq", "--name", "nope", "--upto", "3")
         assert code == 1
+
+    def test_upto_bound_exit_code(self, capsys):
+        code, out, err = invoke(capsys, "seq", "--name", "catalan", "--upto", "20000")
+        assert code == 3 and out == "" and "n <= 1000" in err
+
+    def test_upto_bound_lifted(self, capsys):
+        code, out, _ = invoke(capsys, "seq", "--name", "central-binomial",
+                              "--upto", "1001", "--unsafe-n")
+        assert code == 0 and len(out.split(", ")) == 1002
 
 
 class TestReproduce:

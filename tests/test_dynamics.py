@@ -209,6 +209,31 @@ class TestProbes:
         assert set(per) == {"123", "132", "213", "231", "312", "321"}
         assert r.details["classic_stack_missing_3"]
 
+    def test_fertility_spectrum_tallies_each_size_once(self, monkeypatch):
+        from stacksorting import preimages
+
+        n_max = 5
+        expected = {}
+        for sigma in itertools.permutations((1, 2, 3)):
+            spec = consecutive_machine(sigma)
+            expected["".join(map(str, sigma))] = max(
+                preimages.fertility_spectrum(spec, n_max - 1)
+            )
+        calls = []
+        tally = preimages.image_tally
+
+        def counted(spec, n, **kwargs):
+            calls.append((spec, n))
+            return tally(spec, n, **kwargs)
+
+        monkeypatch.setattr(preimages, "image_tally", counted)
+        r = probe_fertility_spectrum(n_max)
+        # each length-3 machine at n = 1..n_max, and the classic stack up to 7
+        assert len(calls) == len(set(calls)) == 6 * n_max + min(n_max, 7)
+        assert {
+            key: row["previous_bound_max"] for key, row in r.details["per_pattern"].items()
+        } == expected
+
     @pytest.mark.parametrize("name", ["2n-4", "vn-limit"])
     def test_run_conjecture_without_cases_rejected(self, name):
         # both probes start at n = 3; below it there is nothing to verify

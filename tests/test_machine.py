@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import pattern_bodies, permutations_up_to
 from stacksorting.machine import (
     MachineSpec,
+    _compiled_feed,
     _compiled_runner,
+    _generated_decider,
     _push_blocked_reference,
     classical_machine,
     consecutive_123_image,
@@ -27,6 +29,7 @@ from stacksorting.permutations import (
     complement,
     consecutive,
     contains,
+    decreasing,
     identity,
     is_permutation,
     peak_valley_count,
@@ -224,6 +227,100 @@ class TestScan:
         spec = RUNNER_VARIANTS[name]
         assert count_sortable(spec, 7, jobs=2) == count_sortable(spec, 7, jobs=1)
         assert image_tally(spec, 7, jobs=2) == image_tally(spec, 7, jobs=1)
+
+
+def _agrees_with_trace(spec, max_n):
+    for n in range(max_n + 1):
+        for p in all_permutations(n):
+            assert run(spec, p) == output_of_trace(trace(spec, p, record_stacks=False)), p
+
+
+def _adjacency_sets(k):
+    return [set(a) for r in range(k) for a in itertools.combinations(range(1, k), r)]
+
+
+MIXED_MACHINES = [
+    machine_of([classical((1, 3, 2, 4)), vincular((2, 3, 1), (1,))]),
+    machine_of([consecutive((2, 4, 1, 3)), classical((3, 2, 1))]),
+    machine_of([vincular((3, 1, 4, 2), (2,)), consecutive((1, 2, 3))]),
+    machine_of([classical((2, 1, 3, 5, 4)), consecutive((3, 1, 2))]),
+]
+
+
+class TestGeneratedDecider:
+    """The generated push decider, behind ``run_consecutive`` and
+    ``run_generic``, agrees with the reference decider of ``trace``."""
+
+    @pytest.mark.parametrize("body", list(itertools.permutations(range(1, 6))),
+                             ids=lambda body: "".join(map(str, body)))
+    def test_every_classical_length5_body(self, body):
+        spec = classical_machine(body)
+        assert _compiled_runner(spec).__name__ == "run_generic"
+        _agrees_with_trace(spec, 6)
+
+    @pytest.mark.parametrize("body", [(2, 4, 1, 5, 3), (5, 3, 1, 2, 4)],
+                             ids=lambda body: "".join(map(str, body)))
+    @pytest.mark.parametrize("adjacency", _adjacency_sets(5),
+                             ids=lambda a: "adj" + "".join(map(str, sorted(a))))
+    def test_every_adjacency_set(self, body, adjacency):
+        _agrees_with_trace(machine_of([vincular(body, adjacency)]), 7)
+
+    @pytest.mark.parametrize("spec", MIXED_MACHINES, ids=str)
+    def test_mixed_lengths_and_modes(self, spec):
+        _agrees_with_trace(spec, 7)
+
+    @pytest.mark.parametrize("spec", MIXED_MACHINES + [
+        machine_of([vincular((3, 5, 1, 6, 2, 4), (2, 5))]),
+    ], ids=str)
+    def test_stacks_shorter_than_a_pattern(self, spec):
+        # every stack of fewer than k - 1 entries for the longest pattern, with
+        # every incoming entry; the shorter patterns still decide
+        k = max(len(p.body) for p in spec.forbidden)
+        blocked = _generated_decider(spec)
+        for d in range(k - 1):
+            for word in itertools.permutations(range(1, d + 2)):
+                stack, c = list(word[:-1]), word[-1]
+                assert blocked(stack, c) == _push_blocked_reference(spec, stack, c)
+
+    def test_input_shorter_than_the_pattern_is_reversed(self):
+        spec = machine_of([vincular((3, 5, 1, 6, 2, 4), (2, 5))])
+        for n in range(6):
+            for p in all_permutations(n):
+                assert run(spec, p) == reverse(p)
+
+    @pytest.mark.parametrize("k", [21, 22, 23, 45])
+    def test_patterns_past_twenty_loops(self, k):
+        # a classical body of length 22 or more needs over 20 nested loops,
+        # which continue in a further generated function
+        specs = [
+            classical_machine(range(1, k + 1)),
+            machine_of([vincular(range(k, 0, -1), (3, k - 2))]),
+        ]
+        n = k + 3
+        inputs = [decreasing(n), identity(n), decreasing(n)[2:] + (2, 1),
+                  (n - 1,) + identity(n - 2) + (n,)]
+        for spec in specs:
+            for p in inputs:
+                assert run(spec, p) == output_of_trace(trace(spec, p)), (spec, p)
+
+    def test_compiled_feeds_never_call_the_reference(self, monkeypatch):
+        from stacksorting import machine, permutations
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled feed used the reference search")
+
+        expected = {spec: [run(spec, p) for p in all_permutations(6)]
+                    for spec in list(RUNNER_VARIANTS.values()) + MIXED_MACHINES}
+        monkeypatch.setattr(machine, "_push_blocked_reference", refuse)
+        monkeypatch.setattr(permutations, "_occurrence_search", refuse)
+        _compiled_feed.cache_clear()
+        _compiled_runner.cache_clear()
+        try:
+            for spec, images in expected.items():
+                assert [run(spec, p) for p in all_permutations(6)] == images
+        finally:
+            _compiled_feed.cache_clear()
+            _compiled_runner.cache_clear()
 
 
 class TestIdentities:

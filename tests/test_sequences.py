@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stacksorting import bounds
 from stacksorting.sequences import (
     SequenceTable,
     binomial_transform,
@@ -80,6 +81,16 @@ class TestGeneralizedMotzkin:
     def test_division_always_exact(self, k_minus_1, n):
         assert isinstance(generalized_motzkin(k_minus_1, n), int)
 
+    def test_against_binomial_sum(self):
+        for k_minus_1 in range(2, 7):
+            k = k_minus_1 + 1
+            for n in range(80):
+                total = sum(
+                    (-1) ** j * comb(n + 1, j) * comb(2 * n - j * k, n)
+                    for j in range(n // k + 1)
+                )
+                assert generalized_motzkin(k_minus_1, n) == total // (n + 1)
+
 
 class TestFine:
     def test_first_values(self):
@@ -92,6 +103,18 @@ class TestFine:
         coeffs = sympy.series(gf, x, 0, 13).removeO().as_poly(x).all_coeffs()[::-1]
         for k, c in enumerate(coeffs):
             assert fine(k) == int(c), k
+
+    def test_against_series_convolution(self):
+        # y = x + y^2 term by term, then F * (1 + y) = y solved for F
+        upto = 300
+        y = [0, 1] + [0] * (upto - 1)
+        for n in range(2, upto + 1):
+            y[n] = sum(y[i] * y[n - i] for i in range(1, n))
+        f = [0] * (upto + 1)
+        for n in range(upto + 1):
+            f[n] = y[n] - sum(y[i] * f[n - i] for i in range(1, n + 1))
+        assert named_sequence("fine", upto).values == tuple(f)
+        assert fine(upto) == f[upto]
 
     def test_transform_prefix(self):
         assert [fine_binomial_transform(n) for n in range(5)] == [1, 1, 2, 6, 21]
@@ -106,6 +129,13 @@ class TestFine:
 class TestTransforms:
     def test_binomial_transform_of_ones(self):
         assert binomial_transform((1,) * 8) == tuple(2 ** n for n in range(8))
+
+    def test_binomial_transform_against_binomials(self):
+        seq = tuple(catalan(n) - 3 * n for n in range(40))
+        assert binomial_transform(seq) == tuple(
+            sum(comb(n, k) * seq[k] for k in range(n + 1)) for n in range(40)
+        )
+        assert binomial_transform(()) == ()
 
     def test_first_differences_of_motzkin(self):
         motz = tuple(motzkin(n) for n in range(11))
@@ -138,6 +168,31 @@ class TestNamedSequences:
             table = named_sequence(name, 5)
             assert isinstance(table, SequenceTable)
             assert len(table.values) == 6
+
+    def test_tables_match_single_values(self):
+        upto = 60
+        for name, fn in (("fine", fine), ("fine-transform", fine_binomial_transform),
+                         ("motzkin-diff", motzkin_difference)):
+            assert named_sequence(name, upto).values == tuple(
+                fn(n) for n in range(upto + 1)
+            ), name
+
+    def test_every_name_at_the_bound(self):
+        # each builds its whole table in well under 2 s at the bound
+        upto = bounds.SEQ_BOUND
+        for name in ("catalan", "motzkin", "fine", "fine-transform",
+                     "motzkin-diff", "central-binomial", "genmotzkin:3"):
+            assert len(named_sequence(name, upto).values) == upto + 1
+        assert named_sequence("fine-transform", upto).values[-1] == (
+            fine_binomial_transform(upto)
+        )
+
+    def test_upto_bound(self):
+        with pytest.raises(bounds.ResourceBoundError):
+            named_sequence("catalan", bounds.SEQ_BOUND + 1)
+        table = named_sequence("catalan", bounds.SEQ_BOUND + 1,
+                               max_upto=bounds.SEQ_BOUND + 1)
+        assert table.values[-1] == catalan(bounds.SEQ_BOUND + 1)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

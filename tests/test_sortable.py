@@ -108,6 +108,17 @@ class TestCounts:
     def test_jobs_partition_agrees(self):
         assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
 
+    def test_members_resource_bound_is_eager(self):
+        from stacksorting.bounds import ResourceBoundError
+
+        # raised by the call itself, before any member is asked for
+        with pytest.raises(ResourceBoundError):
+            sortable_members(SC231, 12)
+
+    def test_members_bound_lifted(self):
+        # the identity comes first and is sortable: every entry is pushed
+        assert next(sortable_members(SC231, 12, max_n=12)) == identity(12)
+
 
 class TestStructural132:
     def test_worked_example(self):
