@@ -2,14 +2,14 @@
 """Run every conjecture probe at its desk-scale bound; one JSON verdict per line.
 
 A verdict with holds=false is a scientific result, not a failure; the exit
-status is 0 either way.
+status follows the CLI contract (0 for any verdict, 3 past the desk-scale
+bound).
 """
 
 import argparse
-import json
-import time
+import sys
 
-from stacksorting.dynamics import run_conjecture
+from stacksorting.cli import main
 
 DEFAULT_BOUNDS = {
     "fine-transform": 9,
@@ -29,10 +29,8 @@ if __name__ == "__main__":
     args = parser.parse_args()
 
     names = [args.name] if args.name else list(DEFAULT_BOUNDS)
+    worst = 0
     for name in names:
         n = args.n if args.n is not None else DEFAULT_BOUNDS[name]
-        t0 = time.perf_counter()
-        report = run_conjecture(name, n)
-        payload = report.payload()
-        payload["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-        print(json.dumps(payload, sort_keys=True))
+        worst = max(worst, main(["conjecture", "--name", name, "--n", str(n)]))
+    sys.exit(worst)

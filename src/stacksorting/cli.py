@@ -8,11 +8,9 @@ error, 2 golden-table mismatch, 3 desk-scale resource bound exceeded.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 
@@ -31,17 +29,6 @@ from .permutations import (
 
 class GoldenMismatchError(Exception):
     """A computed table disagrees with the embedded reference values."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    format: str = "plain"
-    deterministic: bool = True
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _parse_mode(mode: str, body) -> PatternSpec:
@@ -200,15 +187,13 @@ def cmd_conjecture(name, n, sigma, unsafe_n):
     t0 = time.perf_counter()
     report = dynamics.run_conjecture(name, n, sigma=sig, max_n=max_n)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    manifest = RunManifest(
-        "conjecture",
-        {"name": name, "n": n, "sigma": sigma or ""},
-        format="json",
-    )
-    payload = report.payload() | {
-        "elapsed_ms": round(elapsed_ms, 3),
-        "manifest": manifest.as_dict(),
+    manifest = {
+        "subcommand": "conjecture",
+        "parameters": {"name": name, "n": n, "sigma": sigma or ""},
+        "format": "json",
+        "deterministic": True,
     }
+    payload = report.payload() | {"elapsed_ms": round(elapsed_ms, 3), "manifest": manifest}
     _echo_json(payload)
 
 
@@ -346,6 +331,9 @@ def cmd_class_check(pattern, brute_n):
 def cmd_seq(name, upto, bfile, fmt, unsafe_n):
     """Print a reference integer sequence."""
     max_upto = upto if unsafe_n else bounds.SEQ_BOUND
+    if unsafe_n and hasattr(sys, "set_int_max_str_digits"):
+        # past Python's default digit limit the values could not be printed
+        sys.set_int_max_str_digits(0)
     table = sequences.named_sequence(name, upto, max_upto=max_upto)
     if bfile or fmt == "bfile":
         for line in table.bfile_lines():
@@ -378,10 +366,12 @@ def _fertility_row(key: str, n_max: int, jobs: int) -> list[int]:
 def cmd_reproduce(table, n_max, jobs):
     """Recompute a reference table by brute force and diff it."""
     if table == "sortable":
-        reference, oeis, first_n = golden.SORTABLE_COUNTS, golden.SORTABLE_OEIS, 0
+        reference, oeis = golden.SORTABLE_COUNTS, golden.SORTABLE_OEIS
+        first_n = golden.SORTABLE_N0
         compute = _sortable_row
     else:
-        reference, oeis, first_n = golden.MAX_FERTILITY, golden.MAX_FERTILITY_OEIS, 1
+        reference, oeis = golden.MAX_FERTILITY, golden.MAX_FERTILITY_OEIS
+        first_n = golden.MAX_FERTILITY_N0
         compute = _fertility_row
     last_n = first_n + len(next(iter(reference.values()))) - 1
     if n_max > last_n:

@@ -142,15 +142,11 @@ def deep_witness(m: int) -> Perm:
 
 def vee_block(k: int) -> Perm:
     """V-shaped permutation of [3k+1]: one parity class descending, the other
-    ascending (odd values first for odd k, even values first for even k)."""
+    ascending (odd values first for odd k, even values first for even k); the
+    reverse of ``vee_limit(3k + 1)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    top = 3 * k + 1
-    odds = [v for v in range(1, top + 1) if v % 2 == 1]
-    evens = [v for v in range(1, top + 1) if v % 2 == 0]
-    if k % 2 == 1:
-        return tuple(sorted(odds, reverse=True) + sorted(evens))
-    return tuple(sorted(evens, reverse=True) + sorted(odds))
+    return reverse(vee_limit(3 * k + 1))
 
 
 def residue_block(k: int, m: int, i: int) -> Perm:

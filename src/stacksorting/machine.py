@@ -5,16 +5,16 @@ top to bottom, avoids every forbidden pattern; otherwise it pops the top entry
 to the output.  Once the input is exhausted the stack is drained.  Because the
 current stack always avoids the forbidden patterns, a push can only be illegal
 through an occurrence whose first entry is the incoming one, which is what the
-compiled deciders below test.
+compiled machine bodies below test.
 
-Every machine gets one push decider generated from its patterns: straight-line
-nested loops over the stack depths of the occurrence entries after the first,
-with a single step for each adjacent position (see ``_decider_source``).  Two
-single-pattern shapes keep a hand-written fast path that beats it: consecutive
-length 3 (``consec3``) and classical length 3 (``classical3``).  The other
-machines run the generated decider, labelled ``consecutive`` when all their
-patterns are consecutive and ``generic`` otherwise.  ``trace`` keeps the
-backtracking reference decider, against which the tests check the rest.
+Every machine gets one body generated from its patterns: the push/pop loop
+with the push test inlined as straight-line nested loops over the stack depths
+of the occurrence entries after the first, with a single step for each
+adjacent position (see ``_feed_source``).  It is labelled ``consecutive`` when
+all the patterns are consecutive and ``generic`` otherwise.  A single classical
+length-3 pattern keeps a hand-written fast path (``classical3``) that beats
+it.  ``trace`` keeps the backtracking reference decider, against which the
+tests check the rest.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def machine_of(patterns: Iterable[PatternSpec]) -> MachineSpec:
 
 
 # ---------------------------------------------------------------------------
-# push deciders
+# push deciders and machine bodies
 # ---------------------------------------------------------------------------
 
 def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> bool:
@@ -85,9 +85,10 @@ def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> 
     return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
 
 
-# CPython compiles at most 20 nested loops into one function; an occurrence
-# search that needs more continues in a further generated function.
-_MAX_LOOPS = 20
+# CPython compiles at most 20 nested loops into one function and the feed's own
+# two take two of them; an occurrence search that needs more continues in a
+# further generated function.
+_MAX_LOOPS = 18
 
 
 def _plus(name: str, off: int) -> str:
@@ -99,44 +100,69 @@ def _plus(name: str, off: int) -> str:
     return f"{name} + {off}" if off > 0 else f"{name} - {-off}"
 
 
-def _decider_source(spec: MachineSpec) -> str:
-    """Source of ``blocked(stack, c)``: would pushing c onto ``stack`` (bottom
-    to top) create an occurrence of a forbidden pattern?
+def _feed_source(spec: MachineSpec, name: str) -> str:
+    """Source of the machine body ``<name>(stack, out, values)``.
 
-    The occurrence must start at c, so each pattern of length k is one block of
-    nested loops over the stack depths i1 < i2 < .. < i(k-1) of its other
-    entries v1, v2, .., read as ``stack[-i]``.  A level whose position is in
-    the pattern's adjacency set is the single step one below the level above,
-    not a loop.  Each level checks that its entry lies between the two nearest
-    of c, v1, .. in the pattern's value order, which makes the chosen entries
-    order-isomorphic to the pattern.  Only integers derived from the validated
-    pattern enter the source.
+    For each incoming entry c the body pops the top of ``stack`` (bottom to
+    top) to ``out`` while pushing c would create an occurrence of a forbidden
+    pattern, then pushes c.  The occurrence must start at c, so each pattern of
+    length k is one block of nested loops over the stack depths i1 < i2 < ..
+    < i(k-1) of its other entries v1, v2, .., read as ``stack[-i]``.  A level
+    whose position is in the pattern's adjacency set is the single step one
+    below the level above, not a loop.  Each level checks that its entry lies
+    between the two nearest of c, v1, .. in the pattern's value order, which
+    makes the chosen entries order-isomorphic to the pattern.  A found
+    occurrence pops and retests: a loop-free block by ``continue``, a looped
+    one by leaving its loops (``break``, ``else: continue``) and retesting if
+    it popped.  Only integers derived from the validated pattern enter the
+    source.
     """
-    blocked = ["def blocked(stack, c):", "    n = len(stack)"]
-    functions = [blocked]
+    feed = [
+        f"def {name}(stack, out, values):",
+        "    for c in values:",
+        "        while stack:",
+        "            n = len(stack)",
+    ]
+    functions = [feed]
+
+    def found(lines: list[str], pad: str, loop_pads: list[str]) -> None:
+        if lines is not feed:
+            lines.append(f"{pad}return True")
+            return
+        lines.append(f"{pad}out.append(stack.pop())")
+        if not loop_pads:
+            lines.append(f"{pad}continue")
+            return
+        lines.append(f"{pad}break")
+        for inner in reversed(loop_pads[1:]):
+            lines += [f"{inner}else:", f"{inner}    continue", f"{inner}break"]
+        outer = loop_pads[0]
+        lines += [f"{outer}if len(stack) < n:", f"{outer}    continue"]
+
     for j, pat in enumerate(spec.forbidden):
         body, k = pat.body, len(pat.body)
-        lines = blocked
-        lines.append(f"    if n >= {k - 1}:")
-        pad = "        "
-        base, off, loops = "", 0, 0  # the level above sits at depth base + off
+        lines, pad = feed, "            "
+        lines.append(f"{pad}if n >= {k - 1}:")
+        pad += "    "
+        base, off, loop_pads = "", 0, []  # the level above sits at depth base + off
         for t in range(1, k):
             if t in pat.adjacency:
                 off += 1
             else:
-                if loops == _MAX_LOOPS:
-                    name = f"blocked_{j}_{t}"
+                if len(loop_pads) == _MAX_LOOPS:
+                    helper = f"blocked_{j}_{t}"
                     values = ", ".join(f"v{s}" for s in range(1, t))
-                    lines.append(f"{pad}if {name}(stack, n, c, {values}, {_plus(base, off)}):")
-                    lines.append(f"{pad}    return True")
-                    lines = [f"def {name}(stack, n, c, {values}, d):"]
+                    lines.append(f"{pad}if {helper}(stack, n, c, {values}, {_plus(base, off)}):")
+                    found(lines, pad + "    ", loop_pads)
+                    lines = [f"def {helper}(stack, n, c, {values}, d):"]
                     functions.append(lines)
-                    pad, base, off, loops = "    ", "d", 0, 0
+                    pad, base, off, loop_pads = "    ", "d", 0, []
                 lines.append(
                     f"{pad}for i{t} in range({_plus(base, off + 1)}, {_plus('n', t + 2 - k)}):"
                 )
+                loop_pads.append(pad)
                 pad += "    "
-                base, off, loops = f"i{t}", 0, loops + 1
+                base, off = f"i{t}", 0
             lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
             earlier = [(body[s], f"v{s}" if s else "c") for s in range(t)]
             below = [ref for value, ref in sorted(earlier) if value < body[t]]
@@ -144,17 +170,11 @@ def _decider_source(spec: MachineSpec) -> str:
             chain = " < ".join(below[-1:] + [f"v{t}"] + above[:1])
             lines.append(f"{pad}if {chain}:")
             pad += "    "
-        lines.append(f"{pad}return True")
-    for lines in functions:
+        found(lines, pad, loop_pads)
+    feed += ["            break", "        stack.append(c)"]
+    for lines in functions[1:]:
         lines.append("    return False")
     return "\n".join(line for lines in functions for line in lines) + "\n"
-
-
-def _generated_decider(spec: MachineSpec) -> Callable[[list[int], int], bool]:
-    """``blocked(stack, c)`` compiled from :func:`_decider_source`."""
-    namespace: dict = {}
-    exec(compile(_decider_source(spec), "<generated push decider>", "exec"), namespace)
-    return namespace["blocked"]
 
 
 @lru_cache(maxsize=None)
@@ -167,26 +187,6 @@ def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterabl
     labels the variant.
     """
     pats = spec.forbidden
-
-    if len(pats) == 1 and pats[0].is_consecutive and len(pats[0].body) == 3:
-        b = pats[0].body
-        b01, b02, b12 = b[0] < b[1], b[0] < b[2], b[1] < b[2]
-
-        def feed_consec3(stack, out, values):
-            d = len(stack)
-            for c in values:
-                while d >= 2:
-                    t1 = stack[-1]
-                    t2 = stack[-2]
-                    if (c < t1) == b01 and (c < t2) == b02 and (t1 < t2) == b12:
-                        out.append(stack.pop())
-                        d -= 1
-                    else:
-                        break
-                stack.append(c)
-                d += 1
-
-        return feed_consec3
 
     if len(pats) == 1 and pats[0].is_classical and len(pats[0].body) == 3:
         b = pats[0].body
@@ -222,17 +222,10 @@ def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterabl
 
         return feed_classical3
 
-    blocked = _generated_decider(spec)
-
-    def feed(stack, out, values):
-        for c in values:
-            while stack and blocked(stack, c):
-                out.append(stack.pop())
-            stack.append(c)
-
-    variant = "consecutive" if all(p.is_consecutive for p in pats) else "generic"
-    feed.__name__ = feed.__qualname__ = "feed_" + variant
-    return feed
+    name = "feed_consecutive" if all(p.is_consecutive for p in pats) else "feed_generic"
+    namespace: dict = {}
+    exec(compile(_feed_source(spec, name), f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=None)
@@ -309,14 +302,14 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
     """``reduce`` applied to the scan of S_n, one result per partition.
 
     Serially the whole scan is one partition; with ``jobs > 1`` each first
-    entry is one, run in a process pool.  ``reduce`` takes an iterator of
-    ``(perm, image)`` pairs and must be a module-level function, so that it
-    pickles.  Results are yielded as they arrive, so that the caller can fold
-    each one in before the next.
+    entry is one, run in a process pool of at most one worker per partition.
+    ``reduce`` takes an iterator of ``(perm, image)`` pairs and must be a
+    module-level function, so that it pickles.  Results are yielded as they
+    arrive, so that the caller can fold each one in before the next.
     """
     if jobs > 1 and n >= 2:
         tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
             yield from pool.map(_reduce_partition, tasks)
     else:
         yield _reduce_partition((reduce, spec, n, ()))
@@ -383,27 +376,24 @@ def premature_entries(spec: MachineSpec, perm: Sequence[int]) -> list[int]:
 # simulation-free images for the two monotone length-3 machines
 # ---------------------------------------------------------------------------
 
-def consecutive_321_image(perm: Sequence[int]) -> Perm:
-    """Image under the 321-forbidding consecutive machine, from ascending runs.
-
-    Each run contributes its interior immediately and its two ends at drain
+def _image_of_runs(runs: Sequence[Perm]) -> Perm:
+    """Each run contributes its interior immediately and its two ends at drain
     time, so the output is the interiors in order followed by the reversed
-    concatenation of the run ends.
-    """
-    runs = ascending_runs(perm)
+    concatenation of the run ends."""
     out = [v for r in runs for v in run_interior(r)]
     tail = [v for r in runs for v in run_ends(r)]
     out.extend(reversed(tail))
     return tuple(out)
+
+
+def consecutive_321_image(perm: Sequence[int]) -> Perm:
+    """Image under the 321-forbidding consecutive machine, from ascending runs."""
+    return _image_of_runs(ascending_runs(perm))
 
 
 def consecutive_123_image(perm: Sequence[int]) -> Perm:
     """Image under the 123-forbidding consecutive machine, from descending runs."""
-    runs = descending_runs(perm)
-    out = [v for r in runs for v in run_interior(r)]
-    tail = [v for r in runs for v in run_ends(r)]
-    out.extend(reversed(tail))
-    return tuple(out)
+    return _image_of_runs(descending_runs(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+import sys
 from importlib import resources
 
 import pytest
 
-from stacksorting import cli, golden
+from stacksorting import cli, golden, sequences
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -219,6 +220,18 @@ class TestClassCheck:
 
 
 class TestSeqCommand:
+    @pytest.fixture(autouse=True)
+    def digit_limit(self):
+        # `seq --unsafe-n` lifts Python's int-to-str digit limit for the process
+        if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.11: no limit
+            yield
+            return
+        limit = sys.get_int_max_str_digits()
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_bfile(self, capsys):
         code, out, _ = invoke(capsys, "seq", "--name", "motzkin", "--upto", "9",
                               "--bfile")
@@ -255,6 +268,16 @@ class TestSeqCommand:
         code, out, _ = invoke(capsys, "seq", "--name", "central-binomial",
                               "--upto", "1001", "--unsafe-n")
         assert code == 0 and len(out.split(", ")) == 1002
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python < 3.11 has no int-to-str digit limit")
+    def test_unsafe_values_past_the_digit_limit(self, capsys):
+        sys.set_int_max_str_digits(640)  # catalan(1100) has 658 digits
+        safe = invoke(capsys, "seq", "--name", "catalan", "--upto", "1100")
+        unsafe = invoke(capsys, "seq", "--name", "catalan", "--upto", "1100", "--unsafe-n")
+        assert safe[0] == 3
+        assert unsafe[0] == 0
+        assert unsafe[1].rstrip().rsplit(", ", 1)[-1] == str(sequences.catalan(1100))
 
 
 class TestReproduce:

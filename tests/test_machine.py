@@ -9,7 +9,6 @@ from stacksorting.machine import (
     MachineSpec,
     _compiled_feed,
     _compiled_runner,
-    _generated_decider,
     _push_blocked_reference,
     classical_machine,
     consecutive_123_image,
@@ -179,11 +178,11 @@ def _every_machine_shape():
 
 # one machine per compiled runner variant
 RUNNER_VARIANTS = {
-    "run_consec3": SC231,
     "run_consecutive": consecutive_machine((1, 2, 3), (3, 2, 1)),
     "run_classical3": classical_machine((1, 3, 2)),
     "run_generic": classical_machine((1, 3, 2, 4)),
 }
+JOBS_MACHINES = {**RUNNER_VARIANTS, "consecutive-231": SC231}
 
 
 class TestScan:
@@ -222,11 +221,33 @@ class TestScan:
     def test_runner_variant_names(self, name):
         assert _compiled_runner(RUNNER_VARIANTS[name]).__name__ == name
 
-    @pytest.mark.parametrize("name", sorted(RUNNER_VARIANTS))
+    @pytest.mark.parametrize("name", sorted(JOBS_MACHINES))
     def test_jobs_agree(self, name):
-        spec = RUNNER_VARIANTS[name]
+        spec = JOBS_MACHINES[name]
         assert count_sortable(spec, 7, jobs=2) == count_sortable(spec, 7, jobs=1)
         assert image_tally(spec, 7, jobs=2) == image_tally(spec, 7, jobs=1)
+
+    def test_pool_has_at_most_one_worker_per_partition(self, monkeypatch):
+        from stacksorting import machine
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(machine, "ProcessPoolExecutor", RecordingPool)
+        assert count_sortable(SC231, 5, jobs=64) == count_sortable(SC231, 5)
+        assert asked == [5]
 
 
 def _agrees_with_trace(spec, max_n):
@@ -248,8 +269,18 @@ MIXED_MACHINES = [
 
 
 class TestGeneratedDecider:
-    """The generated push decider, behind ``run_consecutive`` and
+    """The generated machine body, behind ``run_consecutive`` and
     ``run_generic``, agrees with the reference decider of ``trace``."""
+
+    @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))),
+                             ids=lambda body: "".join(map(str, body)))
+    def test_consecutive_length3_machines(self, body):
+        spec = consecutive_machine(body)
+        assert _compiled_runner(spec).__name__ == "run_consecutive"
+        for n in range(8):
+            assert [image for _, image in scan(spec, n)] == [
+                output_of_trace(trace(spec, p, record_stacks=False)) for p in all_permutations(n)
+            ]
 
     @pytest.mark.parametrize("body", list(itertools.permutations(range(1, 6))),
                              ids=lambda body: "".join(map(str, body)))
@@ -274,13 +305,16 @@ class TestGeneratedDecider:
     ], ids=str)
     def test_stacks_shorter_than_a_pattern(self, spec):
         # every stack of fewer than k - 1 entries for the longest pattern, with
-        # every incoming entry; the shorter patterns still decide
+        # every incoming entry; the shorter patterns still decide, and one feed
+        # step pops the top entry iff the reference blocks the push
         k = max(len(p.body) for p in spec.forbidden)
-        blocked = _generated_decider(spec)
+        feed = _compiled_feed(spec)
         for d in range(k - 1):
             for word in itertools.permutations(range(1, d + 2)):
                 stack, c = list(word[:-1]), word[-1]
-                assert blocked(stack, c) == _push_blocked_reference(spec, stack, c)
+                out = []
+                feed(stack.copy(), out, [c])
+                assert out[:1] == (stack[-1:] if _push_blocked_reference(spec, stack, c) else [])
 
     def test_input_shorter_than_the_pattern_is_reversed(self):
         spec = machine_of([vincular((3, 5, 1, 6, 2, 4), (2, 5))])
@@ -288,10 +322,11 @@ class TestGeneratedDecider:
             for p in all_permutations(n):
                 assert run(spec, p) == reverse(p)
 
-    @pytest.mark.parametrize("k", [21, 22, 23, 45])
+    @pytest.mark.parametrize("k", [19, 20, 21, 22, 23, 45])
     def test_patterns_past_twenty_loops(self, k):
-        # a classical body of length 22 or more needs over 20 nested loops,
-        # which continue in a further generated function
+        # CPython compiles at most 20 nested loops per function and the feed
+        # itself takes two, so a classical body of length 20 or more continues
+        # its search in a further generated function
         specs = [
             classical_machine(range(1, k + 1)),
             machine_of([vincular(range(k, 0, -1), (3, k - 2))]),
