@@ -423,13 +423,15 @@ def probe_fertility_spectrum(
     )
 
 
-CONJECTURE_NAMES = (
-    "fine-transform",
-    "general-periodic",
-    "2n-4",
-    "fertility-spectrum",
-    "vn-limit",
-)
+# each conjecture by the smallest n that gives it a case to check
+_FIRST_N = {
+    "fine-transform": 0,
+    "general-periodic": 1,
+    "2n-4": 3,
+    "fertility-spectrum": 2,
+    "vn-limit": 3,
+}
+CONJECTURE_NAMES = tuple(_FIRST_N)
 
 
 def run_conjecture(
@@ -440,10 +442,15 @@ def run_conjecture(
 ) -> ConjectureReport:
     """Evaluate one named conjecture at every applicable size up to n.
 
-    Raises ValueError when no size up to n applies (``2n-4`` and ``vn-limit``
-    start at n = 3, ``general-periodic`` at n = 1), rather than report a
-    vacuous verdict.
+    Raises ValueError when no size up to n applies (``fine-transform`` starts
+    at n = 0, ``general-periodic`` at n = 1, ``fertility-spectrum`` at n = 2,
+    where a previous bound first has fibers, and ``2n-4`` and ``vn-limit`` at
+    n = 3), rather than report a vacuous verdict.
     """
+    if name not in _FIRST_N:
+        raise ValueError(f"unknown conjecture name: {name!r}")
+    if n < _FIRST_N[name]:
+        raise ValueError(f"conjecture {name} has no case to check up to n = {n}")
     if name == "fine-transform":
         return probe_fine_transform(n, max_n=max_n)
     if name == "fertility-spectrum":
@@ -454,27 +461,23 @@ def run_conjecture(
     if name == "vn-limit":
         reports = [probe_vee_limit(m, max_n=max_n) for m in range(3, n + 1)]
         return _aggregate("vn-limit", n, reports)
-    if name == "general-periodic":
-        if sigma is not None:
-            sigmas = [tuple(sigma)]
-        else:
-            sigmas = [
-                s
-                for k in (3, 4)
-                for s in itertools.permutations(range(1, k + 1))
-            ]
-        reports = [
-            probe_general_periodic(s, m, max_n=max_n)
-            for s in sigmas
-            for m in range(1, n + 1)
+    if sigma is not None:
+        sigmas = [tuple(sigma)]
+    else:
+        sigmas = [
+            s
+            for k in (3, 4)
+            for s in itertools.permutations(range(1, k + 1))
         ]
-        return _aggregate("general-periodic", n, reports)
-    raise ValueError(f"unknown conjecture name: {name!r}")
+    reports = [
+        probe_general_periodic(s, m, max_n=max_n)
+        for s in sigmas
+        for m in range(1, n + 1)
+    ]
+    return _aggregate("general-periodic", n, reports)
 
 
 def _aggregate(name: str, n: int, reports: list[ConjectureReport]) -> ConjectureReport:
-    if not reports:
-        raise ValueError(f"conjecture {name} has no case to check up to n = {n}")
     holds = all(r.holds for r in reports)
     witnesses = tuple(w for r in reports for w in r.witnesses)
     details = {"cases": [dict(r.details, n=r.n, holds=r.holds) for r in reports]}

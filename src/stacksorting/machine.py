@@ -7,14 +7,14 @@ current stack always avoids the forbidden patterns, a push can only be illegal
 through an occurrence whose first entry is the incoming one, which is what the
 compiled machine bodies below test.
 
-Every machine gets one body generated from its patterns: the push/pop loop
-with the push test inlined as straight-line nested loops over the stack depths
-of the occurrence entries after the first, with a single step for each
-adjacent position (see ``_feed_source``).  It is labelled ``consecutive`` when
-all the patterns are consecutive and ``generic`` otherwise.  A single classical
-length-3 pattern keeps a hand-written fast path (``classical3``) that beats
-it.  ``trace`` keeps the backtracking reference decider, against which the
-tests check the rest.
+Every machine runs one body generated from its patterns, with no hand-written
+path: the push/pop loop with the push test inlined as straight-line nested
+loops over the stack depths of the occurrence entries after the first, with a
+single step for each adjacent position.  A loop at the last level walks the
+stack as an iterator instead of by index, sharing it with a loop right above
+(see ``_feed_source``).  The body is labelled ``consecutive`` when all the
+patterns are consecutive and ``generic`` otherwise.  ``trace`` keeps the
+backtracking reference decider, against which the tests check the rest.
 """
 
 from __future__ import annotations
@@ -85,10 +85,13 @@ def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> 
     return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
 
 
-# CPython compiles at most 20 nested loops into one function and the feed's own
-# two take two of them; an occurrence search that needs more continues in a
-# further generated function.
+# CPython compiles at most 20 nested loops into one function, two of which the
+# feed's own loops take, and parses fewer than 100 levels of indentation.  An
+# occurrence search continues in a further generated function before its loops
+# would pass _MAX_LOOPS, or a level, with room for one more below it, would
+# reach _MAX_INDENT.
 _MAX_LOOPS = 18
+_MAX_INDENT = 100
 
 
 def _plus(name: str, off: int) -> str:
@@ -106,16 +109,22 @@ def _feed_source(spec: MachineSpec, name: str) -> str:
     For each incoming entry c the body pops the top of ``stack`` (bottom to
     top) to ``out`` while pushing c would create an occurrence of a forbidden
     pattern, then pushes c.  The occurrence must start at c, so each pattern of
-    length k is one block of nested loops over the stack depths i1 < i2 < ..
+    length k is one block of nested levels over the stack depths i1 < i2 < ..
     < i(k-1) of its other entries v1, v2, .., read as ``stack[-i]``.  A level
     whose position is in the pattern's adjacency set is the single step one
     below the level above, not a loop.  Each level checks that its entry lies
     between the two nearest of c, v1, .. in the pattern's value order, which
-    makes the chosen entries order-isomorphic to the pattern.  A found
-    occurrence pops and retests: a loop-free block by ``continue``, a looped
-    one by leaving its loops (``break``, ``else: continue``) and retesting if
-    it popped.  Only integers derived from the validated pattern enter the
-    source.
+    makes the chosen entries order-isomorphic to the pattern.
+
+    A loop at the last level walks the stack below the level above as an
+    iterator.  When the level above is a loop too, both walk one iterator, side
+    by side: the upper one stops at its first fitting entry and the lower one
+    continues from there, where an entry that fits the upper level with more
+    room for the last entry (the larger when the last entry lies below it, the
+    smaller when it lies above) replaces it.  A found occurrence pops and
+    retests: a loop-free block by ``continue``, a looped one by leaving its
+    loops (``break``, ``else: continue``) and retesting if it popped.  Only
+    integers derived from the validated pattern enter the source.
     """
     feed = [
         f"def {name}(stack, out, values):",
@@ -145,29 +154,58 @@ def _feed_source(spec: MachineSpec, name: str) -> str:
         lines.append(f"{pad}if n >= {k - 1}:")
         pad += "    "
         base, off, loop_pads = "", 0, []  # the level above sits at depth base + off
+        pair = k > 2 and not {k - 2, k - 1} & pat.adjacency
         for t in range(1, k):
-            if t in pat.adjacency:
+            earlier = sorted((body[s], f"v{s}" if s else "c") for s in range(t))
+            lo = [ref for value, ref in earlier if value < body[t]][-1:]
+            hi = [ref for value, ref in earlier if value > body[t]][:1]
+            chain = " < ".join(lo + [f"v{t}"] + hi)
+            if pair and t == k - 1:
+                # the lower loop of the pair resumes the upper one's iterator
+                up = f"v{t - 1}"
+                lines.append(f"{pad}for v{t} in it:")
+                pad += "    "
+                if up in lo + hi:
+                    # keep the smallest fitting upper entry if v{t} lies above it, else the largest
+                    better = up_lo + [f"v{t}", up] if lo == [up] else [up, f"v{t}"] + up_hi
+                    lines += [f"{pad}if {' < '.join(better)}:", f"{pad}    {up} = v{t}"]
+                    lines.append(f"{pad}elif {chain}:")
+                else:
+                    lines.append(f"{pad}if {chain}:")
+                pad += "    "
+                continue
+            loop = t not in pat.adjacency
+            if len(pad) // 4 + 2 + loop >= _MAX_INDENT or loop and len(loop_pads) == _MAX_LOOPS:
+                helper = f"blocked_{j}_{t}"
+                values = ", ".join(f"v{s}" for s in range(1, t))
+                lines.append(f"{pad}if {helper}(stack, n, c, {values}, {_plus(base, off)}):")
+                found(lines, pad + "    ", loop_pads)
+                lines = [f"def {helper}(stack, n, c, {values}, d):"]
+                functions.append(lines)
+                pad, base, off, loop_pads = "    ", "d", 0, []
+            rest = f"stack[:{_plus('-' + base if base else '', -off)}]" if base or off else "stack"
+            if not loop:
                 off += 1
+                lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
+            elif pair and t == k - 2:
+                # the upper loop of the pair stops at its first fitting entry
+                lines += [f"{pad}it = reversed({rest})", f"{pad}for v{t} in it:",
+                          f"{pad}    if {chain}:", f"{pad}        break"]
+                loop_pads.append(pad)
+                up_lo, up_hi = lo, hi
+                continue
+            elif t == k - 1:
+                lines.append(f"{pad}for v{t} in reversed({rest}):")
+                loop_pads.append(pad)
+                pad += "    "
             else:
-                if len(loop_pads) == _MAX_LOOPS:
-                    helper = f"blocked_{j}_{t}"
-                    values = ", ".join(f"v{s}" for s in range(1, t))
-                    lines.append(f"{pad}if {helper}(stack, n, c, {values}, {_plus(base, off)}):")
-                    found(lines, pad + "    ", loop_pads)
-                    lines = [f"def {helper}(stack, n, c, {values}, d):"]
-                    functions.append(lines)
-                    pad, base, off, loop_pads = "    ", "d", 0, []
                 lines.append(
                     f"{pad}for i{t} in range({_plus(base, off + 1)}, {_plus('n', t + 2 - k)}):"
                 )
                 loop_pads.append(pad)
                 pad += "    "
                 base, off = f"i{t}", 0
-            lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
-            earlier = [(body[s], f"v{s}" if s else "c") for s in range(t)]
-            below = [ref for value, ref in sorted(earlier) if value < body[t]]
-            above = [ref for value, ref in sorted(earlier) if value > body[t]]
-            chain = " < ".join(below[-1:] + [f"v{t}"] + above[:1])
+                lines.append(f"{pad}v{t} = stack[-i{t}]")
             lines.append(f"{pad}if {chain}:")
             pad += "    "
         found(lines, pad, loop_pads)
@@ -186,43 +224,7 @@ def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterabl
     be resumed with further input.  The function's name, ``feed_<variant>``,
     labels the variant.
     """
-    pats = spec.forbidden
-
-    if len(pats) == 1 and pats[0].is_classical and len(pats[0].body) == 3:
-        b = pats[0].body
-        p_above = b[0] < b[1]   # relation of the middle occurrence entry to c
-        q_above = b[0] < b[2]   # relation of the last occurrence entry to c
-        p_gt_q = b[1] > b[2]
-
-        def feed_classical3(stack, out, values):
-            for c in values:
-                while stack:
-                    # scan top to bottom for entries v_p, v_q (p above q) with
-                    # the relative order of (c, v_p, v_q) matching the body
-                    best = None
-                    hit = False
-                    for idx in range(len(stack) - 1, -1, -1):
-                        v = stack[idx]
-                        if (
-                            best is not None
-                            and (v > c) == q_above
-                            and ((best > v) if p_gt_q else (best < v))
-                        ):
-                            hit = True
-                            break
-                        if (v > c) == p_above and (
-                            best is None or ((v > best) if p_gt_q else (v < best))
-                        ):
-                            best = v
-                    if hit:
-                        out.append(stack.pop())
-                    else:
-                        break
-                stack.append(c)
-
-        return feed_classical3
-
-    name = "feed_consecutive" if all(p.is_consecutive for p in pats) else "feed_generic"
+    name = "feed_consecutive" if all(p.is_consecutive for p in spec.forbidden) else "feed_generic"
     namespace: dict = {}
     exec(compile(_feed_source(spec, name), f"<generated {name}>", "exec"), namespace)
     return namespace[name]

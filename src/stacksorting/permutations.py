@@ -316,33 +316,6 @@ def run_interior(run: Sequence[int]) -> Perm:
     return tuple(run[1:-1])
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    """A permutation split into maximal monotone consecutive blocks."""
-
-    direction: str  # "ascending" | "descending"
-    runs: tuple[Perm, ...]
-
-    @classmethod
-    def of(cls, perm: Sequence[int], direction: str = "ascending") -> "RunDecomposition":
-        if direction == "ascending":
-            return cls(direction, ascending_runs(perm))
-        if direction == "descending":
-            return cls(direction, descending_runs(perm))
-        raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
-
-    @property
-    def ends(self) -> tuple[Perm, ...]:
-        return tuple(run_ends(r) for r in self.runs)
-
-    @property
-    def interiors(self) -> tuple[Perm, ...]:
-        return tuple(run_interior(r) for r in self.runs)
-
-    def flatten(self) -> Perm:
-        return tuple(v for r in self.runs for v in r)
-
-
 def left_to_right_minima(perm: Sequence[int]) -> list[int]:
     """Entries strictly smaller than everything before them, in order.
 

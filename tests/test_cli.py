@@ -108,9 +108,15 @@ class TestConjectureCommand:
         code, _, err = invoke(capsys, "conjecture", "--name", "goldbach", "--n", "4")
         assert code == 1
 
-    @pytest.mark.parametrize("name", ["2n-4", "vn-limit"])
-    def test_no_applicable_case_exits_1(self, capsys, name):
-        code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", "2")
+    @pytest.mark.parametrize("name, n", [
+        pytest.param("2n-4", "2", id="2n-4"),
+        pytest.param("vn-limit", "2", id="vn-limit"),
+        pytest.param("fine-transform", "-1", id="fine-transform"),
+        pytest.param("fertility-spectrum", "1", id="fertility-spectrum-1"),
+        pytest.param("fertility-spectrum", "0", id="fertility-spectrum-0"),
+    ])
+    def test_no_applicable_case_exits_1(self, capsys, name, n):
+        code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", n)
         assert code == 1 and out == "" and "no case" in err
 
     def test_single_sigma(self, capsys):

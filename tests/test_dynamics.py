@@ -234,11 +234,19 @@ class TestProbes:
             key: row["previous_bound_max"] for key, row in r.details["per_pattern"].items()
         } == expected
 
-    @pytest.mark.parametrize("name", ["2n-4", "vn-limit"])
-    def test_run_conjecture_without_cases_rejected(self, name):
-        # both probes start at n = 3; below it there is nothing to verify
+    @pytest.mark.parametrize("name, n", [
+        pytest.param("2n-4", 2, id="2n-4"),
+        pytest.param("vn-limit", 2, id="vn-limit"),
+        pytest.param("fine-transform", -1, id="fine-transform"),
+        pytest.param("fertility-spectrum", 1, id="fertility-spectrum-1"),
+        pytest.param("fertility-spectrum", 0, id="fertility-spectrum-0"),
+    ])
+    def test_run_conjecture_without_cases_rejected(self, name, n):
+        # 2n-4 and vn-limit start at n = 3, fertility-spectrum at n = 2 (a
+        # previous bound with fibers) and fine-transform at n = 0; below
+        # that there is nothing to verify
         with pytest.raises(ValueError):
-            run_conjecture(name, 2)
+            run_conjecture(name, n)
 
     def test_run_conjecture_aggregates(self):
         r = run_conjecture("2n-4", 4)

@@ -179,10 +179,13 @@ def _every_machine_shape():
 # one machine per compiled runner variant
 RUNNER_VARIANTS = {
     "run_consecutive": consecutive_machine((1, 2, 3), (3, 2, 1)),
-    "run_classical3": classical_machine((1, 3, 2)),
     "run_generic": classical_machine((1, 3, 2, 4)),
 }
-JOBS_MACHINES = {**RUNNER_VARIANTS, "consecutive-231": SC231}
+JOBS_MACHINES = {
+    **RUNNER_VARIANTS,
+    "consecutive-231": SC231,
+    "classical-132": classical_machine((1, 3, 2)),
+}
 
 
 class TestScan:
@@ -256,6 +259,15 @@ def _agrees_with_trace(spec, max_n):
             assert run(spec, p) == output_of_trace(trace(spec, p, record_stacks=False)), p
 
 
+def _scan_agrees_with_trace(spec, runner, max_n=7):
+    # TestScan stops at S_6
+    assert _compiled_runner(spec).__name__ == runner
+    for n in range(max_n + 1):
+        assert [image for _, image in scan(spec, n)] == [
+            output_of_trace(trace(spec, p, record_stacks=False)) for p in all_permutations(n)
+        ]
+
+
 def _adjacency_sets(k):
     return [set(a) for r in range(k) for a in itertools.combinations(range(1, k), r)]
 
@@ -275,12 +287,13 @@ class TestGeneratedDecider:
     @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))),
                              ids=lambda body: "".join(map(str, body)))
     def test_consecutive_length3_machines(self, body):
-        spec = consecutive_machine(body)
-        assert _compiled_runner(spec).__name__ == "run_consecutive"
-        for n in range(8):
-            assert [image for _, image in scan(spec, n)] == [
-                output_of_trace(trace(spec, p, record_stacks=False)) for p in all_permutations(n)
-            ]
+        _scan_agrees_with_trace(consecutive_machine(body), "run_consecutive")
+
+    @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))),
+                             ids=lambda body: "".join(map(str, body)))
+    def test_classical_length3_machines(self, body):
+        # both searched levels walk one iterator, with a running extreme
+        _scan_agrees_with_trace(classical_machine(body), "run_generic")
 
     @pytest.mark.parametrize("body", list(itertools.permutations(range(1, 6))),
                              ids=lambda body: "".join(map(str, body)))
@@ -322,14 +335,17 @@ class TestGeneratedDecider:
             for p in all_permutations(n):
                 assert run(spec, p) == reverse(p)
 
-    @pytest.mark.parametrize("k", [19, 20, 21, 22, 23, 45])
+    @pytest.mark.parametrize("k", [19, 20, 21, 22, 23, 45, 97, 100, 150])
     def test_patterns_past_twenty_loops(self, k):
         # CPython compiles at most 20 nested loops per function and the feed
         # itself takes two, so a classical body of length 20 or more continues
-        # its search in a further generated function
+        # its search in a further generated function; so does a body that
+        # would nest 100 levels deep, consecutive or with long adjacent runs
         specs = [
             classical_machine(range(1, k + 1)),
             machine_of([vincular(range(k, 0, -1), (3, k - 2))]),
+            consecutive_machine(range(1, k + 1)),
+            machine_of([vincular(range(k, 0, -1), set(range(1, k)) - {k // 3, k - 2})]),
         ]
         n = k + 3
         inputs = [decreasing(n), identity(n), decreasing(n)[2:] + (2, 1),
@@ -345,7 +361,7 @@ class TestGeneratedDecider:
             raise AssertionError("compiled feed used the reference search")
 
         expected = {spec: [run(spec, p) for p in all_permutations(6)]
-                    for spec in list(RUNNER_VARIANTS.values()) + MIXED_MACHINES}
+                    for spec in list(JOBS_MACHINES.values()) + MIXED_MACHINES}
         monkeypatch.setattr(machine, "_push_blocked_reference", refuse)
         monkeypatch.setattr(permutations, "_occurrence_search", refuse)
         _compiled_feed.cache_clear()

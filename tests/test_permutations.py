@@ -33,7 +33,6 @@ from stacksorting.permutations import (
     standardize,
     swap_first_two,
     vincular,
-    RunDecomposition,
 )
 from stacksorting.sequences import catalan
 
@@ -181,13 +180,8 @@ class TestRuns:
 
     @given(permutations_up_to(8))
     def test_runs_partition(self, p):
-        for direction in ("ascending", "descending"):
-            dec = RunDecomposition.of(p, direction)
-            assert dec.flatten() == p
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            RunDecomposition.of((1,), "sideways")
+        for runs in (ascending_runs(p), descending_runs(p)):
+            assert tuple(v for r in runs for v in r) == p
 
 
 class TestStatistics:
