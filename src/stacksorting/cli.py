@@ -250,6 +250,8 @@ def cmd_max_fertility(pattern, mode, n, jobs, unsafe_n, fmt):
 def cmd_spectrum(pattern, mode, n_max, unsafe_n):
     """Fiber sizes achieved by targets of length up to n-max."""
     spec = _parse_machine(pattern, mode)
+    if n_max < 1:
+        raise click.UsageError("--n-max must be >= 1 (no target length to check)")
     max_n = n_max if unsafe_n else bounds.SCAN_BOUND
     sizes = preimages.fertility_spectrum(spec, n_max, max_n=max_n)
     gaps = preimages.spectrum_gaps(sizes)
@@ -271,6 +273,8 @@ def cmd_sortable(pattern, mode, n, count_only, list_, bfile, jobs, unsafe_n):
     spec = _parse_machine(pattern, mode)
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     if bfile:
+        if n < 0:
+            raise click.UsageError("--n must be >= 0")
         for m in range(n + 1):
             click.echo(f"{m} {sortable.count_sortable(spec, m, max_n=max_n, jobs=jobs)}")
         return
@@ -374,8 +378,8 @@ def cmd_reproduce(table, n_max, jobs):
         first_n = golden.MAX_FERTILITY_N0
         compute = _fertility_row
     last_n = first_n + len(next(iter(reference.values()))) - 1
-    if n_max > last_n:
-        raise click.UsageError(f"--n-max must be <= {last_n} (no reference beyond)")
+    if not first_n <= n_max <= last_n:
+        raise click.UsageError(f"--n-max must be in {first_n}..{last_n}, the table's columns")
     width = n_max - first_n + 1
     header = "pattern | " + " ".join(f"{n:>6}" for n in range(first_n, n_max + 1))
     click.echo(header + "   OEIS")

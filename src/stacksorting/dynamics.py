@@ -8,7 +8,7 @@ failed conjecture is a normal result carried in the report, never an error.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Sequence
@@ -19,10 +19,12 @@ from .machine import (
     _compiled_runner,
     classical_machine,
     consecutive_machine,
-    scan,
+    image_map,
+    rank,
 )
 from .permutations import (
     Perm,
+    all_permutations,
     consecutive,
     format_permutation,
     is_vee_shaped,
@@ -47,37 +49,27 @@ class OrbitReport:
 def orbit(spec: MachineSpec, perm: Sequence[int]) -> OrbitReport:
     """Iterate until a repeat, keeping the full visited list."""
     runner = _compiled_runner(spec)
-    seen: dict[Perm, int] = {}
-    seq: list[Perm] = []
+    seen: dict[Perm, int] = {}  # each visited permutation at its step, in order
     x = tuple(perm)
     while x not in seen:
-        seen[x] = len(seq)
-        seq.append(x)
+        seen[x] = len(seen)
         x = runner(x)
     first = seen[x]
-    seq.append(x)
-    return OrbitReport(tuple(seq), first, len(seq) - 1 - first)
+    return OrbitReport((*seen, x), first, len(seen) - first)
 
 
 def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -> set[Perm]:
     """All permutations of [n] lying on a cycle of the machine.
 
-    Computed in one pass: build the full image map of S_n, then peel the
-    permutations nobody maps to.
+    The eventual image of the image map: the ranks hit, then those hit from
+    them, and so on until the set stops shrinking, when the map is onto it.
     """
     bounds.check_scan_bound(n, max_n, "periodic_points")
-    image: dict[Perm, Perm] = dict(scan(spec, n))
-    indegree = Counter(image.values())
-    queue = [p for p in image if p not in indegree]
-    dead: set[Perm] = set()
-    while queue:
-        p = queue.pop()
-        dead.add(p)
-        q = image[p]
-        indegree[q] -= 1
-        if indegree[q] == 0:
-            queue.append(q)
-    return {p for p in image if p not in dead}
+    image = image_map(spec, n)
+    live = range(len(image))
+    while len(shrunk := set(map(image.__getitem__, live))) < len(live):
+        live = shrunk
+    return set(itertools.compress(all_permutations(n), map(live.__contains__, range(len(image)))))
 
 
 def cycle_periods(spec: MachineSpec, points: Iterable[Perm]) -> set[int]:
@@ -86,14 +78,11 @@ def cycle_periods(spec: MachineSpec, points: Iterable[Perm]) -> set[int]:
     periods: set[int] = set()
     remaining = set(points)
     while remaining:
-        start = remaining.pop()
-        x = runner(start)
-        steps = 1
-        while x != start:
-            remaining.discard(x)
-            x = runner(x)
-            steps += 1
-        periods.add(steps)
+        cycle = [remaining.pop()]
+        while (x := runner(cycle[-1])) != cycle[0]:
+            cycle.append(x)
+        remaining.difference_update(cycle)
+        periods.add(len(cycle))
     return periods
 
 
@@ -229,6 +218,27 @@ class ConjectureReport:
         }
 
 
+def _orbit_probe(spec: MachineSpec, n: int, max_n: int, what: str) -> tuple[array, bytearray]:
+    """The image map of S_n and the mask of its ranks that are not V-shaped."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    bounds.check_scan_bound(n, max_n, what)
+    return image_map(spec, n), bytearray(not is_vee_shaped(p) for p in all_permutations(n))
+
+
+def _orbit_report(
+    name: str, n: int, slow: int | None, violation: int | None, details: dict
+) -> ConjectureReport:
+    """A probe's verdict from the ranks of its first slow orbit and first
+    violation: it holds when there is no violation."""
+    witnesses = []
+    for kind, r in (("slow", slow), ("violation", violation)):
+        if r is not None:
+            perm = next(itertools.islice(all_permutations(n), r, None))
+            witnesses.append({"kind": kind, "perm": format_permutation(perm)})
+    return ConjectureReport(name, n, violation is None, tuple(witnesses), details)
+
+
 def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
     """Does every orbit of the 231 consecutive machine settle within 2n-4 steps?
 
@@ -236,39 +246,20 @@ def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureRe
     (the bound is tight) is reported apart, in ``details.slow_witness_found``,
     with that orbit's start as the ``slow`` witness.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    bounds.check_scan_bound(n, max_n, "probe_settling_bound")
-    spec = consecutive_machine((2, 3, 1))
-    runner = _compiled_runner(spec)
+    image, bent = _orbit_probe(consecutive_machine((2, 3, 1)), n, max_n, "probe_settling_bound")
     cap = 2 * n - 4
-    holds = True
-    slow: Perm | None = None
-    violator: Perm | None = None
-    for p, x in scan(spec, n):
-        if is_vee_shaped(p):
-            continue
-        t = 1
-        while t <= cap and not is_vee_shaped(x):
-            x = runner(x)
-            t += 1
-        if t > cap:
-            holds = False
-            violator = violator or p
-        elif t == cap and slow is None:
-            slow = p
-    witnesses = []
-    if slow is not None:
-        witnesses.append({"kind": "slow", "perm": format_permutation(slow)})
-    if violator is not None:
-        witnesses.append({"kind": "violation", "perm": format_permutation(violator)})
-    return ConjectureReport(
-        "2n-4",
-        n,
-        holds,
-        tuple(witnesses),
-        {"bound": cap, "slow_witness_found": slow is not None},
-    )
+    # the unsettled sources, in rank order, and their t-th iterates
+    sources = x = array("i", itertools.compress(range(len(image)), bent))
+    slow = None
+    for t in range(1, cap + 1):
+        x = array("i", map(image.__getitem__, x))
+        unsettled = bytes(map(bent.__getitem__, x))
+        if t == cap and 0 in unsettled:
+            slow = sources[unsettled.index(0)]
+        sources = array("i", itertools.compress(sources, unsettled))
+        x = array("i", itertools.compress(x, unsettled))
+    details = {"bound": cap, "slow_witness_found": slow is not None}
+    return _orbit_report("2n-4", n, slow, sources[0] if sources else None, details)
 
 
 def probe_general_periodic(
@@ -308,39 +299,15 @@ def probe_general_periodic(
 
 def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
     """Does every slow orbit of the classical 132 machine land on the V shape?"""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    bounds.check_scan_bound(n, max_n, "probe_vee_limit")
-    spec = classical_machine((1, 3, 2))
-    runner = _compiled_runner(spec)
-    target = vee_limit(n)
-    holds = True
-    slow_count = 0
-    first_slow: Perm | None = None
-    bad: Perm | None = None
-    for p, x in scan(spec, n):
-        for _ in range(n - 3):
-            x = runner(x)
-        if is_vee_shaped(x):
-            continue
-        slow_count += 1
-        if first_slow is None:
-            first_slow = p
-        if runner(x) != target:
-            holds = False
-            bad = bad or p
-    witnesses = []
-    if first_slow is not None:
-        witnesses.append({"kind": "slow", "perm": format_permutation(first_slow)})
-    if bad is not None:
-        witnesses.append({"kind": "violation", "perm": format_permutation(bad)})
-    return ConjectureReport(
-        "vn-limit",
-        n,
-        holds,
-        tuple(witnesses),
-        {"limit": format_permutation(target), "slow_count": slow_count},
-    )
+    image, bent = _orbit_probe(classical_machine((1, 3, 2)), n, max_n, "probe_vee_limit")
+    x = image
+    for _ in range(n - 3):
+        x = array("i", map(image.__getitem__, x))
+    slow = list(itertools.compress(range(len(x)), map(bent.__getitem__, x)))
+    target = rank(vee_limit(n))
+    violation = next((r for r in slow if image[x[r]] != target), None)
+    details = {"limit": format_permutation(vee_limit(n)), "slow_count": len(slow)}
+    return _orbit_report("vn-limit", n, slow[0] if slow else None, violation, details)
 
 
 def probe_fine_transform(n_max: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -455,12 +422,9 @@ def run_conjecture(
         return probe_fine_transform(n, max_n=max_n)
     if name == "fertility-spectrum":
         return probe_fertility_spectrum(n, max_n=max_n)
-    if name == "2n-4":
-        reports = [probe_settling_bound(m, max_n=max_n) for m in range(3, n + 1)]
-        return _aggregate("2n-4", n, reports)
-    if name == "vn-limit":
-        reports = [probe_vee_limit(m, max_n=max_n) for m in range(3, n + 1)]
-        return _aggregate("vn-limit", n, reports)
+    if name in ("2n-4", "vn-limit"):
+        probe = probe_settling_bound if name == "2n-4" else probe_vee_limit
+        return _aggregate(name, n, [probe(m, max_n=max_n) for m in range(3, n + 1)])
     if sigma is not None:
         sigmas = [tuple(sigma)]
     else:

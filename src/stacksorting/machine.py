@@ -20,9 +20,11 @@ backtracking reference decider, against which the tests check the rest.
 from __future__ import annotations
 
 import itertools
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
@@ -298,6 +300,36 @@ def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[tupl
             s.reverse()
             o += s
             yield start + tail, tuple(o)
+
+
+def _ranker(n: int) -> Callable[[Perm], int]:
+    """Lexicographic ranking of the permutations p of [n] as ``head[p[:n-k]] +
+    tail[p[n-k:]]`` with k = min(n, _SUFFIX): ``head`` ranks the (n-k)-prefixes
+    in steps of k!, ``tail`` each ordered k-tuple among the orders of its values."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    k = min(n, _SUFFIX)
+    split, block = n - k, factorial(k)
+    head = {p: r * block for r, p in enumerate(itertools.permutations(range(1, n + 1), split))}
+    subsets = itertools.combinations(range(1, n + 1), k)
+    tail = {t: r for s in subsets for r, t in enumerate(itertools.permutations(s))}
+    return lambda p: head[p[:split]] + tail[p[split:]]
+
+
+def rank(perm: Sequence[int]) -> int:
+    """Position of a permutation of [n] in the lexicographic order of S_n."""
+    return _ranker(len(perm))(tuple(perm))
+
+
+def image_map(spec: MachineSpec, n: int) -> array:
+    """The machine on ranks: entry r is the rank of the image of the rank-r
+    permutation of [n].
+
+    >>> list(image_map(consecutive_machine((2, 1)), 3))
+    [0, 0, 0, 2, 0, 0]
+    """
+    ranker = _ranker(n)
+    return array("i", (ranker(image) for _, image in scan(spec, n)))
 
 
 def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> Iterator:

@@ -1,8 +1,12 @@
+import itertools
 import time
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
+
+from stacksorting.machine import consecutive_machine, machine_of
+from stacksorting.permutations import classical, consecutive, vincular
 
 _ACCEPTANCE: list[tuple[int, str, float, str]] = []
 
@@ -30,6 +34,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, label, secs, status in sorted(_ACCEPTANCE):
         terminalreporter.write_line(f"criterion {num:>2} {status:<4} ({secs:6.1f}s)  {label}")
+
+
+# --- shared machines -------------------------------------------------------
+
+def every_machine_shape():
+    """Every body of length 2 to 4 in all three modes, and the {123, 321} pair.
+
+    (At length 2 the vincular {1} mode is the consecutive one.)
+    """
+    specs = []
+    for k in (2, 3, 4):
+        for body in itertools.permutations(range(1, k + 1)):
+            for pat in (consecutive(body), classical(body), vincular(body, (1,))):
+                specs.append(machine_of([pat]))
+    specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
+    return list(dict.fromkeys(specs))
 
 
 # --- shared hypothesis strategies -----------------------------------------

@@ -151,6 +151,10 @@ class TestFiberCommands:
         assert lines[0].startswith("achieved 1 2 3")
         assert lines[1] == "gaps none"
 
+    def test_spectrum_without_target_lengths(self, capsys):
+        code, out, err = invoke(capsys, "spectrum", "--pattern", "132", "--n-max", "0")
+        assert code == 1 and out == "" and "--n-max must be >= 1" in err
+
 
 class TestSortableCommands:
     def test_count(self, capsys):
@@ -192,6 +196,11 @@ class TestSortableCommands:
                               "--bfile")
         assert code == 0
         assert out.splitlines() == ["0 1", "1 1", "2 2", "3 4", "4 9", "5 21"]
+
+    @pytest.mark.parametrize("flag", ["--bfile", "--count-only"])
+    def test_negative_n_exits_1(self, capsys, flag):
+        code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "-1", flag)
+        assert code == 1 and out == "" and "must be >= 0" in err
 
 
 class TestPhiCommand:
@@ -310,6 +319,14 @@ class TestReproduce:
     def test_beyond_reference_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "reproduce", "sortable", "--n-max", "12")
         assert code == 1
+
+    @pytest.mark.parametrize("table, n_max", [
+        ("max-fertility", "-1"), ("sortable", "-1"), ("max-fertility", "0"),
+    ])
+    def test_below_first_column_is_usage_error(self, capsys, table, n_max):
+        # no column would be compared, so no verdict is printed
+        code, out, err = invoke(capsys, "reproduce", table, "--n-max", n_max)
+        assert code == 1 and out == "" and "the table's columns" in err
 
 
 class TestTopLevel:

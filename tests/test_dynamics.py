@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import every_machine_shape
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.dynamics import (
     ConjectureReport,
@@ -26,6 +27,7 @@ from stacksorting.permutations import (
     all_permutations,
     consecutive,
     classical,
+    format_permutation,
     identity,
     is_vee_shaped,
     pattern_avoiders,
@@ -89,6 +91,18 @@ class TestPeriodicPoints:
     def test_bound(self):
         with pytest.raises(ResourceBoundError):
             periodic_points(SC132, 10)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            periodic_points(SC132, -1)
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_preperiod_zero_on_every_machine(self, spec):
+        # one orbit at a time on the runner, apart from the image map
+        for n in range(7):
+            assert periodic_points(spec, n) == {
+                p for p in all_permutations(n) if orbit(spec, p).preperiod == 0
+            }
 
     def test_consecutive_pair_avoidance_is_classical_for_132_231(self):
         # avoiding 132 and 231 consecutively already forces classical
@@ -177,6 +191,22 @@ class TestProbes:
         assert r.holds
         assert any(w["kind"] == "slow" for w in r.witnesses)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_settling_bound_by_iteration(self, n):
+        # first hits of the V shape, one orbit at a time on the runner
+        sc231 = consecutive_machine((2, 3, 1))
+        cap = 2 * n - 4
+        depths = {p: iterations_until(sc231, p, is_vee_shaped) for p in all_permutations(n)}
+        slow = [p for p, t in depths.items() if t == cap][:1]
+        late = [p for p, t in depths.items() if t > cap][:1]
+        r = probe_settling_bound(n)
+        assert r.holds == (not late)
+        assert r.witnesses == tuple(
+            {"kind": kind, "perm": format_permutation(p)}
+            for kind, found in (("slow", slow), ("violation", late))
+            for p in found
+        )
+
     def test_settling_bound_validation(self):
         with pytest.raises(ValueError):
             probe_settling_bound(2)
@@ -186,6 +216,26 @@ class TestProbes:
         assert r.holds
         assert r.details["limit"] == "312"
         assert any(w["perm"] == "132" for w in r.witnesses)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_vee_limit_by_iteration(self, n):
+        slow, bad = [], []
+        for p in all_permutations(n):
+            x = p
+            for _ in range(n - 2):
+                x = run(S132, x)
+            if not is_vee_shaped(x):
+                slow.append(p)
+                if run(S132, x) != vee_limit(n):
+                    bad.append(p)
+        r = probe_vee_limit(n)
+        assert r.holds == (not bad)
+        assert r.details["slow_count"] == len(slow)
+        assert r.witnesses == tuple(
+            {"kind": kind, "perm": format_permutation(p)}
+            for kind, found in (("slow", slow[:1]), ("violation", bad[:1]))
+            for p in found
+        )
 
     def test_general_periodic_s3(self):
         for sigma in itertools.permutations((1, 2, 3)):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pattern_bodies, permutations_up_to
+from conftest import every_machine_shape, pattern_bodies, permutations_up_to
 from stacksorting.machine import (
     MachineSpec,
     _compiled_feed,
@@ -14,9 +14,11 @@ from stacksorting.machine import (
     consecutive_123_image,
     consecutive_321_image,
     consecutive_machine,
+    image_map,
     machine_of,
     output_of_trace,
     premature_entries,
+    rank,
     run,
     scan,
     stack_sort,
@@ -162,20 +164,6 @@ class TestEngineAgreement:
                         stack.append(c)
 
 
-def _every_machine_shape():
-    """Every body of length 2 to 4 in all three modes, and the {123, 321} pair.
-
-    (At length 2 the vincular {1} mode is the consecutive one.)
-    """
-    specs = []
-    for k in (2, 3, 4):
-        for body in itertools.permutations(range(1, k + 1)):
-            for pat in (consecutive(body), classical(body), vincular(body, (1,))):
-                specs.append(machine_of([pat]))
-    specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
-    return list(dict.fromkeys(specs))
-
-
 # one machine per compiled runner variant
 RUNNER_VARIANTS = {
     "run_consecutive": consecutive_machine((1, 2, 3), (3, 2, 1)),
@@ -192,7 +180,7 @@ class TestScan:
     """The prefix-shared scan agrees with one run per permutation, and the
     runners with the reference decider, exhaustively for n <= 6."""
 
-    @pytest.mark.parametrize("spec", _every_machine_shape(), ids=str)
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
     def test_scan_matches_run_and_reference(self, spec):
         for n in range(7):
             expected = [(p, run(spec, p)) for p in all_permutations(n)]
@@ -251,6 +239,31 @@ class TestScan:
         monkeypatch.setattr(machine, "ProcessPoolExecutor", RecordingPool)
         assert count_sortable(SC231, 5, jobs=64) == count_sortable(SC231, 5)
         assert asked == [5]
+
+
+def _ranks(n):
+    return {p: r for r, p in enumerate(all_permutations(n))}
+
+
+class TestImageMap:
+    """The rank-indexed image map agrees with a full rank dict and ``run``."""
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_matches_run(self, spec):
+        for n in range(7):
+            ranks = _ranks(n)
+            expected = [ranks[run(spec, p)] for p in ranks]
+            image = image_map(spec, n)
+            assert image.typecode == "i" and list(image) == expected
+
+    def test_rank(self):
+        for n in range(8):
+            for p, r in _ranks(n).items():
+                assert rank(p) == r
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            image_map(SC231, -1)
 
 
 def _agrees_with_trace(spec, max_n):
