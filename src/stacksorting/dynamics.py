@@ -73,15 +73,19 @@ def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -
 
 
 def cycle_periods(spec: MachineSpec, points: Iterable[Perm]) -> set[int]:
-    """Cycle lengths occurring among the given periodic points."""
+    """Cycle lengths occurring among the given periodic points; ValueError for
+    a point that is not periodic, whose orbit returns to another entry."""
     runner = _compiled_runner(spec)
     periods: set[int] = set()
     remaining = set(points)
     while remaining:
-        cycle = [remaining.pop()]
-        while (x := runner(cycle[-1])) != cycle[0]:
-            cycle.append(x)
-        remaining.difference_update(cycle)
+        x = start = remaining.pop()
+        cycle = {start}
+        while (x := runner(x)) != start:
+            if x in cycle:
+                raise ValueError(f"not a periodic point: {format_permutation(start)}")
+            cycle.add(x)
+        remaining -= cycle
         periods.add(len(cycle))
     return periods
 

@@ -4,17 +4,12 @@ A machine pushes the next input entry whenever the resulting stack, read from
 top to bottom, avoids every forbidden pattern; otherwise it pops the top entry
 to the output.  Once the input is exhausted the stack is drained.  Because the
 current stack always avoids the forbidden patterns, a push can only be illegal
-through an occurrence whose first entry is the incoming one, which is what the
-compiled machine bodies below test.
+through an occurrence whose first entry is the incoming one.
 
-Every machine runs one body generated from its patterns, with no hand-written
-path: the push/pop loop with the push test inlined as straight-line nested
-loops over the stack depths of the occurrence entries after the first, with a
-single step for each adjacent position.  A loop at the last level walks the
-stack as an iterator instead of by index, sharing it with a loop right above
-(see ``_feed_source``).  The body is labelled ``consecutive`` when all the
-patterns are consecutive and ``generic`` otherwise.  ``trace`` keeps the
-backtracking reference decider, against which the tests check the rest.
+Every machine runs one body generated from its patterns by
+``permutations._compiled_feed``, labelled ``consecutive`` when all the patterns
+are consecutive and ``generic`` otherwise.  ``trace`` keeps the backtracking
+reference decider, against which the tests check the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .permutations import (
     PatternSpec,
     Perm,
+    _compiled_feed,
     ascending_runs,
     classical,
     consecutive,
@@ -87,158 +83,13 @@ def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> 
     return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
 
 
-# CPython compiles at most 20 nested loops into one function, two of which the
-# feed's own loops take, and parses fewer than 100 levels of indentation.  An
-# occurrence search continues in a further generated function before its loops
-# would pass _MAX_LOOPS, or a level, with room for one more below it, would
-# reach _MAX_INDENT.
-_MAX_LOOPS = 18
-_MAX_INDENT = 100
-
-
-def _plus(name: str, off: int) -> str:
-    """Source of ``name + off``; an empty ``name`` stands for 0."""
-    if not name:
-        return str(off)
-    if off == 0:
-        return name
-    return f"{name} + {off}" if off > 0 else f"{name} - {-off}"
-
-
-def _feed_source(spec: MachineSpec, name: str) -> str:
-    """Source of the machine body ``<name>(stack, out, values)``.
-
-    For each incoming entry c the body pops the top of ``stack`` (bottom to
-    top) to ``out`` while pushing c would create an occurrence of a forbidden
-    pattern, then pushes c.  The occurrence must start at c, so each pattern of
-    length k is one block of nested levels over the stack depths i1 < i2 < ..
-    < i(k-1) of its other entries v1, v2, .., read as ``stack[-i]``.  A level
-    whose position is in the pattern's adjacency set is the single step one
-    below the level above, not a loop.  Each level checks that its entry lies
-    between the two nearest of c, v1, .. in the pattern's value order, which
-    makes the chosen entries order-isomorphic to the pattern.
-
-    A loop at the last level walks the stack below the level above as an
-    iterator.  When the level above is a loop too, both walk one iterator, side
-    by side: the upper one stops at its first fitting entry and the lower one
-    continues from there, where an entry that fits the upper level with more
-    room for the last entry (the larger when the last entry lies below it, the
-    smaller when it lies above) replaces it.  A found occurrence pops and
-    retests: a loop-free block by ``continue``, a looped one by leaving its
-    loops (``break``, ``else: continue``) and retesting if it popped.  Only
-    integers derived from the validated pattern enter the source.
-    """
-    feed = [
-        f"def {name}(stack, out, values):",
-        "    for c in values:",
-        "        while stack:",
-        "            n = len(stack)",
-    ]
-    functions = [feed]
-
-    def found(lines: list[str], pad: str, loop_pads: list[str]) -> None:
-        if lines is not feed:
-            lines.append(f"{pad}return True")
-            return
-        lines.append(f"{pad}out.append(stack.pop())")
-        if not loop_pads:
-            lines.append(f"{pad}continue")
-            return
-        lines.append(f"{pad}break")
-        for inner in reversed(loop_pads[1:]):
-            lines += [f"{inner}else:", f"{inner}    continue", f"{inner}break"]
-        outer = loop_pads[0]
-        lines += [f"{outer}if len(stack) < n:", f"{outer}    continue"]
-
-    for j, pat in enumerate(spec.forbidden):
-        body, k = pat.body, len(pat.body)
-        lines, pad = feed, "            "
-        lines.append(f"{pad}if n >= {k - 1}:")
-        pad += "    "
-        base, off, loop_pads = "", 0, []  # the level above sits at depth base + off
-        pair = k > 2 and not {k - 2, k - 1} & pat.adjacency
-        for t in range(1, k):
-            earlier = sorted((body[s], f"v{s}" if s else "c") for s in range(t))
-            lo = [ref for value, ref in earlier if value < body[t]][-1:]
-            hi = [ref for value, ref in earlier if value > body[t]][:1]
-            chain = " < ".join(lo + [f"v{t}"] + hi)
-            if pair and t == k - 1:
-                # the lower loop of the pair resumes the upper one's iterator
-                up = f"v{t - 1}"
-                lines.append(f"{pad}for v{t} in it:")
-                pad += "    "
-                if up in lo + hi:
-                    # keep the smallest fitting upper entry if v{t} lies above it, else the largest
-                    better = up_lo + [f"v{t}", up] if lo == [up] else [up, f"v{t}"] + up_hi
-                    lines += [f"{pad}if {' < '.join(better)}:", f"{pad}    {up} = v{t}"]
-                    lines.append(f"{pad}elif {chain}:")
-                else:
-                    lines.append(f"{pad}if {chain}:")
-                pad += "    "
-                continue
-            loop = t not in pat.adjacency
-            if len(pad) // 4 + 2 + loop >= _MAX_INDENT or loop and len(loop_pads) == _MAX_LOOPS:
-                helper = f"blocked_{j}_{t}"
-                values = ", ".join(f"v{s}" for s in range(1, t))
-                lines.append(f"{pad}if {helper}(stack, n, c, {values}, {_plus(base, off)}):")
-                found(lines, pad + "    ", loop_pads)
-                lines = [f"def {helper}(stack, n, c, {values}, d):"]
-                functions.append(lines)
-                pad, base, off, loop_pads = "    ", "d", 0, []
-            rest = f"stack[:{_plus('-' + base if base else '', -off)}]" if base or off else "stack"
-            if not loop:
-                off += 1
-                lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
-            elif pair and t == k - 2:
-                # the upper loop of the pair stops at its first fitting entry
-                lines += [f"{pad}it = reversed({rest})", f"{pad}for v{t} in it:",
-                          f"{pad}    if {chain}:", f"{pad}        break"]
-                loop_pads.append(pad)
-                up_lo, up_hi = lo, hi
-                continue
-            elif t == k - 1:
-                lines.append(f"{pad}for v{t} in reversed({rest}):")
-                loop_pads.append(pad)
-                pad += "    "
-            else:
-                lines.append(
-                    f"{pad}for i{t} in range({_plus(base, off + 1)}, {_plus('n', t + 2 - k)}):"
-                )
-                loop_pads.append(pad)
-                pad += "    "
-                base, off = f"i{t}", 0
-                lines.append(f"{pad}v{t} = stack[-i{t}]")
-            lines.append(f"{pad}if {chain}:")
-            pad += "    "
-        found(lines, pad, loop_pads)
-    feed += ["            break", "        stack.append(c)"]
-    for lines in functions[1:]:
-        lines.append("    return False")
-    return "\n".join(line for lines in functions for line in lines) + "\n"
-
-
-@lru_cache(maxsize=None)
-def _compiled_feed(spec: MachineSpec) -> Callable[[list[int], list[int], Iterable[int]], None]:
-    """Build a fast resumable machine body: ``feed(stack, out, values)``.
-
-    Pushes ``values`` one by one onto ``stack`` (bottom to top), appending
-    every pop to ``out``; the stack is not drained, so a copy of the state can
-    be resumed with further input.  The function's name, ``feed_<variant>``,
-    labels the variant.
-    """
-    name = "feed_consecutive" if all(p.is_consecutive for p in spec.forbidden) else "feed_generic"
-    namespace: dict = {}
-    exec(compile(_feed_source(spec, name), f"<generated {name}>", "exec"), namespace)
-    return namespace[name]
-
-
 @lru_cache(maxsize=None)
 def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
     """The machine image of one permutation, by the compiled feed body.
 
     Named ``run_<variant>`` after the feed it wraps.
     """
-    feed = _compiled_feed(spec)
+    feed = _compiled_feed(spec.forbidden)
 
     def runner(perm):
         stack: list[int] = []
@@ -283,7 +134,7 @@ def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[tupl
     prefix = tuple(prefix)
     if len(set(prefix)) != len(prefix) or not all(1 <= v <= n for v in prefix):
         raise ValueError(f"prefix must hold distinct values of 1..{n}: {prefix!r}")
-    feed = _compiled_feed(spec)
+    feed = _compiled_feed(spec.forbidden)
     rest = [v for v in range(1, n + 1) if v not in prefix]
     stack: list[int] = []
     out: list[int] = []

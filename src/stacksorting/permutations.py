@@ -8,6 +8,14 @@ and for every position i in the adjacency set the occurrence entries at
 pattern positions i, i+1 must sit next to each other in the host.  The empty
 adjacency set gives classical containment, the full set {1, .., k-1} gives
 consecutive containment, and anything in between is a vincular pattern.
+
+Every occurrence search runs one body generated from the patterns
+(``_compiled_feed``): a stack-machine feed whose push test is inlined as nested
+loops over the stack depths of the occurrence entries after the first, with a
+single step for each adjacent position.  The machines run it as is;
+``contains`` and ``pattern_avoiders`` run it on the mirrored patterns, whose
+stack is a host prefix (``_prefix_feed``).  ``occurs_with_first_entry`` keeps
+the backtracking reference search, against which the tests check the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -173,60 +181,24 @@ def vincular(body: Iterable[int], adjacency: Iterable[int]) -> PatternSpec:
     return PatternSpec(tuple(body), frozenset(adjacency))
 
 
-@lru_cache(maxsize=None)
-def _rel_pairs(body: Perm) -> tuple[tuple[int, int, bool], ...]:
-    """All (i, j, body[i] < body[j]) with i < j; order-isomorphism table.
-
-    Cached per pattern body, as containment tests ask for it on every call.
-    """
-    k = len(body)
-    return tuple(
-        (i, j, body[i] < body[j]) for i in range(k) for j in range(i + 1, k)
-    )
-
-
-def _window_matches(host: Sequence[int], start: int, rel) -> bool:
-    for i, j, less in rel:
-        if (host[start + i] < host[start + j]) != less:
-            return False
-    return True
-
-
-def _occurrence_search(
-    host: Sequence[int],
-    body: Sequence[int],
-    adjacency: frozenset[int],
-    fix_first_at: int | None = None,
-) -> bool:
-    """Backtracking search for one occurrence honoring adjacency constraints."""
+def _occurrence_search(host: Sequence[int], body: Sequence[int], adjacency: frozenset[int]) -> bool:
+    """Backtracking search for one occurrence whose first entry is host[0]: the
+    reference against which the tests check the generated search below."""
     k = len(body)
     n = len(host)
-    if k > n:
-        return False
-    chosen_vals: list[int] = []
+    chosen_vals = list(host[:1])
 
     def extend(t: int, prev_idx: int) -> bool:
         if t == k:
             return True
         if t in adjacency:
             candidates = range(prev_idx + 1, prev_idx + 2)
-        elif t == 0:
-            lo = fix_first_at if fix_first_at is not None else 0
-            hi = lo + 1 if fix_first_at is not None else n - (k - 1)
-            candidates = range(lo, hi)
         else:
             candidates = range(prev_idx + 1, n - (k - t) + 1)
         bt = body[t]
         for idx in candidates:
-            if idx >= n:
-                break
             v = host[idx]
-            ok = True
-            for s in range(t):
-                if (chosen_vals[s] < v) != (body[s] < bt):
-                    ok = False
-                    break
-            if not ok:
+            if any((chosen_vals[s] < v) != (body[s] < bt) for s in range(t)):
                 continue
             chosen_vals.append(v)
             if extend(t + 1, idx):
@@ -234,35 +206,190 @@ def _occurrence_search(
             chosen_vals.pop()
         return False
 
-    return extend(0, -1)
+    return k <= n and extend(1, 0)
+
+
+def occurs_with_first_entry(host: Sequence[int], pattern: PatternSpec) -> bool:
+    """True iff some occurrence of ``pattern`` uses host[0] as its first entry."""
+    return _occurrence_search(host, pattern.body, pattern.adjacency)
+
+
+# ---------------------------------------------------------------------------
+# the generated occurrence search
+# ---------------------------------------------------------------------------
+
+# CPython compiles at most 20 nested loops into one function, two of which the
+# feed's own loops take, and parses fewer than 100 levels of indentation.  An
+# occurrence search continues in a further generated function before its loops
+# would pass _MAX_LOOPS, or a level, with room for one more below it, would
+# reach _MAX_INDENT.
+_MAX_LOOPS = 18
+_MAX_INDENT = 100
+
+
+def _plus(name: str, off: int) -> str:
+    """Source of ``name + off``; an empty ``name`` stands for 0."""
+    if not name:
+        return str(off)
+    if off == 0:
+        return name
+    return f"{name} + {off}" if off > 0 else f"{name} - {-off}"
+
+
+def _feed_source(patterns: tuple[PatternSpec, ...], name: str) -> str:
+    """Source of the machine body ``<name>(stack, out, values)``.
+
+    For each incoming entry c the body pops the top of ``stack`` (bottom to
+    top) to ``out`` while pushing c would create an occurrence of a forbidden
+    pattern, then pushes c.  The occurrence must start at c, so each pattern of
+    length k is one block of nested levels over the stack depths i1 < i2 < ..
+    < i(k-1) of its other entries v1, v2, .., read as ``stack[-i]``.  A level
+    whose position is in the pattern's adjacency set is the single step one
+    below the level above, not a loop.  Each level checks that its entry lies
+    between the two nearest of c, v1, .. in the pattern's value order, which
+    makes the chosen entries order-isomorphic to the pattern.
+
+    A loop at the last level walks the stack below the level above as an
+    iterator.  When the level above is a loop too, both walk one iterator, side
+    by side: the upper one stops at its first fitting entry and the lower one
+    continues from there, where an entry that fits the upper level with more
+    room for the last entry (the larger when the last entry lies below it, the
+    smaller when it lies above) replaces it.  A found occurrence pops and
+    retests: a loop-free block by ``continue``, a looped one by leaving its
+    loops (``break``, ``else: continue``) and retesting if it popped.  Only
+    integers derived from the validated pattern enter the source.
+    """
+    feed = [
+        f"def {name}(stack, out, values):",
+        "    for c in values:",
+        "        while stack:",
+        "            n = len(stack)",
+    ]
+    functions = [feed]
+
+    def found(lines: list[str], pad: str, loop_pads: list[str]) -> None:
+        if lines is not feed:
+            lines.append(f"{pad}return True")
+            return
+        lines.append(f"{pad}out.append(stack.pop())")
+        if not loop_pads:
+            lines.append(f"{pad}continue")
+            return
+        lines.append(f"{pad}break")
+        for inner in reversed(loop_pads[1:]):
+            lines += [f"{inner}else:", f"{inner}    continue", f"{inner}break"]
+        outer = loop_pads[0]
+        lines += [f"{outer}if len(stack) < n:", f"{outer}    continue"]
+
+    for j, pat in enumerate(patterns):
+        body, k = pat.body, len(pat.body)
+        lines, pad = feed, "            "
+        lines.append(f"{pad}if n >= {k - 1}:")
+        pad += "    "
+        base, off, loop_pads = "", 0, []  # the level above sits at depth base + off
+        pair = k > 2 and not {k - 2, k - 1} & pat.adjacency
+        for t in range(1, k):
+            earlier = sorted((body[s], f"v{s}" if s else "c") for s in range(t))
+            lo = [ref for value, ref in earlier if value < body[t]][-1:]
+            hi = [ref for value, ref in earlier if value > body[t]][:1]
+            chain = " < ".join(lo + [f"v{t}"] + hi)
+            if pair and t == k - 1:
+                # the lower loop of the pair resumes the upper one's iterator
+                up = f"v{t - 1}"
+                lines.append(f"{pad}for v{t} in it:")
+                pad += "    "
+                if up in lo + hi:
+                    # keep the smallest fitting upper entry if v{t} lies above it, else the largest
+                    better = up_lo + [f"v{t}", up] if lo == [up] else [up, f"v{t}"] + up_hi
+                    lines += [f"{pad}if {' < '.join(better)}:", f"{pad}    {up} = v{t}"]
+                    lines.append(f"{pad}elif {chain}:")
+                else:
+                    lines.append(f"{pad}if {chain}:")
+                pad += "    "
+                continue
+            loop = t not in pat.adjacency
+            if len(pad) // 4 + 2 + loop >= _MAX_INDENT or loop and len(loop_pads) == _MAX_LOOPS:
+                helper = f"blocked_{j}_{t}"
+                values = ", ".join(f"v{s}" for s in range(1, t))
+                lines.append(f"{pad}if {helper}(stack, n, c, {values}, {_plus(base, off)}):")
+                found(lines, pad + "    ", loop_pads)
+                lines = [f"def {helper}(stack, n, c, {values}, d):"]
+                functions.append(lines)
+                pad, base, off, loop_pads = "    ", "d", 0, []
+            rest = f"stack[:{_plus('-' + base if base else '', -off)}]" if base or off else "stack"
+            if not loop:
+                off += 1
+                lines.append(f"{pad}v{t} = stack[{_plus('-' + base if base else '', -off)}]")
+            elif pair and t == k - 2:
+                # the upper loop of the pair stops at its first fitting entry
+                lines += [f"{pad}it = reversed({rest})", f"{pad}for v{t} in it:",
+                          f"{pad}    if {chain}:", f"{pad}        break"]
+                loop_pads.append(pad)
+                up_lo, up_hi = lo, hi
+                continue
+            elif t == k - 1:
+                lines.append(f"{pad}for v{t} in reversed({rest}):")
+                loop_pads.append(pad)
+                pad += "    "
+            else:
+                lines.append(
+                    f"{pad}for i{t} in range({_plus(base, off + 1)}, {_plus('n', t + 2 - k)}):"
+                )
+                loop_pads.append(pad)
+                pad += "    "
+                base, off = f"i{t}", 0
+                lines.append(f"{pad}v{t} = stack[-i{t}]")
+            lines.append(f"{pad}if {chain}:")
+            pad += "    "
+        found(lines, pad, loop_pads)
+    feed += ["            break", "        stack.append(c)"]
+    for lines in functions[1:]:
+        lines.append("    return False")
+    return "\n".join(line for lines in functions for line in lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _compiled_feed(patterns: tuple[PatternSpec, ...]) -> Callable[[list[int], list[int], Iterable[int]], None]:
+    """Build a fast resumable machine body: ``feed(stack, out, values)``.
+
+    Pushes ``values`` one by one onto ``stack`` (bottom to top), appending
+    every pop to ``out``; the stack is not drained, so a copy of the state can
+    be resumed with further input.  The function's name, ``feed_<variant>``,
+    labels the variant.
+    """
+    name = "feed_consecutive" if all(p.is_consecutive for p in patterns) else "feed_generic"
+    namespace: dict = {}
+    exec(compile(_feed_source(patterns, name), f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _prefix_feed(patterns: tuple[PatternSpec, ...]) -> Callable[[list[int], list[int], Iterable[int]], None]:
+    """The feed of the mirrored patterns, the reversed bodies with adjacency
+    {k - t}.  Its stack is a host prefix, read bottom to top: an occurrence
+    ending at a new entry is a mirrored one starting at it, so a feed step
+    pops iff the new entry ends an occurrence."""
+    return _compiled_feed(tuple(
+        PatternSpec(reverse(p.body), frozenset(len(p.body) - t for t in p.adjacency))
+        for p in patterns
+    ))
 
 
 def contains(host: Sequence[int], pattern: PatternSpec) -> bool:
     """True iff ``host`` contains an occurrence of ``pattern``.
+
+    The entries of ``host`` must be distinct, as the generated search compares
+    them strictly, but need not be 1..n.  Fed into ``_prefix_feed``, the host
+    pops an entry iff some prefix ends in an occurrence.
 
     >>> contains((3, 1, 4, 2), consecutive((2, 3, 1)))
     False
     >>> contains((3, 1, 4, 2), classical((2, 3, 1)))
     True
     """
-    body = pattern.body
-    k = len(body)
-    n = len(host)
-    if k > n:
-        return False
-    if pattern.is_consecutive:
-        rel = _rel_pairs(body)
-        return any(_window_matches(host, s, rel) for s in range(n - k + 1))
-    return _occurrence_search(host, body, pattern.adjacency)
-
-
-def avoids(host: Sequence[int], *patterns: PatternSpec) -> bool:
-    return not any(contains(host, p) for p in patterns)
-
-
-def occurs_with_first_entry(host: Sequence[int], pattern: PatternSpec) -> bool:
-    """True iff some occurrence of ``pattern`` uses host[0] as its first entry."""
-    return _occurrence_search(host, pattern.body, pattern.adjacency, fix_first_at=0)
+    out: list[int] = []
+    _prefix_feed((pattern,))([], out, host)
+    return bool(out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +575,23 @@ def all_permutations(n: int) -> Iterator[Perm]:
 
 
 def pattern_avoiders(n: int, patterns: Iterable[PatternSpec]) -> Iterator[Perm]:
-    """Permutations of [n] avoiding every given pattern, in lexicographic order."""
-    pats = tuple(patterns)
-    return (p for p in all_permutations(n) if not any(contains(p, q) for q in pats))
+    """Permutations of [n] avoiding every given pattern, in lexicographic order.
+
+    A generating tree (West, 1996): every prefix of an avoider avoids the
+    patterns, so each avoiding prefix, as the stack of ``_prefix_feed``, is
+    extended by each unused value in increasing order and kept when that feed
+    step pops nothing.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _avoider_tree(_prefix_feed(tuple(patterns)), [], list(range(1, n + 1)))
+
+
+def _avoider_tree(feed: Callable, prefix: list[int], rest: list[int]) -> Iterator[Perm]:
+    if not rest:
+        yield tuple(prefix)
+    for v in rest:
+        child, out = prefix.copy(), []
+        feed(child, out, (v,))
+        if not out:
+            yield from _avoider_tree(feed, child, [w for w in rest if w != v])

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import strategies as st
 
 from stacksorting.machine import consecutive_machine, machine_of
-from stacksorting.permutations import classical, consecutive, vincular
+from stacksorting.permutations import (
+    all_permutations,
+    classical,
+    consecutive,
+    occurs_with_first_entry,
+    vincular,
+)
 
 _ACCEPTANCE: list[tuple[int, str, float, str]] = []
 
@@ -50,6 +56,21 @@ def every_machine_shape():
                 specs.append(machine_of([pat]))
     specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
     return list(dict.fromkeys(specs))
+
+
+# --- reference containment -----------------------------------------------
+
+def contains_reference(host, pattern):
+    """Containment by the backtracking reference search, apart from the
+    generated search behind ``contains``."""
+    return any(occurs_with_first_entry(host[i:], pattern) for i in range(len(host)))
+
+
+def avoiders_reference(n, patterns):
+    """The permutations of [n] avoiding every pattern, in lexicographic order,
+    by ``contains_reference``."""
+    return [p for p in all_permutations(n)
+            if not any(contains_reference(p, q) for q in patterns)]
 
 
 # --- shared hypothesis strategies -----------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import every_machine_shape
+from conftest import avoiders_reference, every_machine_shape
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.dynamics import (
     ConjectureReport,
@@ -315,10 +315,10 @@ class TestClassicalDynamics:
     def test_periodic_sets_match_avoidance(self):
         for n in range(1, 7):
             assert periodic_points(S132, n) == set(
-                pattern_avoiders(n, [classical((1, 3, 2)), classical((2, 3, 1))])
+                avoiders_reference(n, [classical((1, 3, 2)), classical((2, 3, 1))])
             )
             assert periodic_points(S312, n) == set(
-                pattern_avoiders(n, [classical((2, 1, 3)), classical((3, 1, 2))])
+                avoiders_reference(n, [classical((2, 1, 3)), classical((3, 1, 2))])
             )
 
     def test_everyone_settles_in_n_minus_1(self):
@@ -332,3 +332,8 @@ class TestClassicalDynamics:
     def test_periods_are_two(self):
         for n in range(2, 7):
             assert cycle_periods(S132, periodic_points(S132, n)) == {2}
+
+    def test_non_periodic_point_rejected(self):
+        # 1324 reaches a 2-cycle after two steps; the walk must not wait for it
+        with pytest.raises(ValueError, match="not a periodic point: 1324"):
+            cycle_periods(SC132, [(1, 3, 2, 4)])

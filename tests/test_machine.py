@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import every_machine_shape, pattern_bodies, permutations_up_to
+from conftest import contains_reference, every_machine_shape, pattern_bodies, permutations_up_to
 from stacksorting.machine import (
     MachineSpec,
-    _compiled_feed,
     _compiled_runner,
     _push_blocked_reference,
     classical_machine,
@@ -25,6 +24,8 @@ from stacksorting.machine import (
     trace,
 )
 from stacksorting.permutations import (
+    _compiled_feed,
+    _prefix_feed,
     all_permutations,
     classical,
     complement,
@@ -334,7 +335,7 @@ class TestGeneratedDecider:
         # every incoming entry; the shorter patterns still decide, and one feed
         # step pops the top entry iff the reference blocks the push
         k = max(len(p.body) for p in spec.forbidden)
-        feed = _compiled_feed(spec)
+        feed = _compiled_feed(spec.forbidden)
         for d in range(k - 1):
             for word in itertools.permutations(range(1, d + 2)):
                 stack, c = list(word[:-1]), word[-1]
@@ -368,23 +369,29 @@ class TestGeneratedDecider:
                 assert run(spec, p) == output_of_trace(trace(spec, p)), (spec, p)
 
     def test_compiled_feeds_never_call_the_reference(self, monkeypatch):
+        # nor do contains and pattern_avoiders, which run the generated search
         from stacksorting import machine, permutations
 
         def refuse(*args, **kwargs):
             raise AssertionError("compiled feed used the reference search")
 
-        expected = {spec: [run(spec, p) for p in all_permutations(6)]
-                    for spec in list(JOBS_MACHINES.values()) + MIXED_MACHINES}
+        def outcomes(spec):
+            return ([run(spec, p) for p in all_permutations(6)],
+                    [[contains(p, q) for q in spec.forbidden] for p in all_permutations(6)],
+                    list(permutations.pattern_avoiders(6, spec.forbidden)))
+
+        expected = {spec: outcomes(spec) for spec in list(JOBS_MACHINES.values()) + MIXED_MACHINES}
         monkeypatch.setattr(machine, "_push_blocked_reference", refuse)
         monkeypatch.setattr(permutations, "_occurrence_search", refuse)
-        _compiled_feed.cache_clear()
-        _compiled_runner.cache_clear()
+        caches = (_compiled_feed, _prefix_feed, _compiled_runner)
+        for cached in caches:
+            cached.cache_clear()
         try:
-            for spec, images in expected.items():
-                assert [run(spec, p) for p in all_permutations(6)] == images
+            for spec, results in expected.items():
+                assert outcomes(spec) == results
         finally:
-            _compiled_feed.cache_clear()
-            _compiled_runner.cache_clear()
+            for cached in caches:
+                cached.cache_clear()
 
 
 class TestIdentities:
@@ -420,12 +427,14 @@ class TestIdentities:
                     assert run(cspec, p) == complement(run(spec, complement(p)))
 
     def test_reversal_shortcut(self):
+        # the generated search for rev(body) is this machine's own body, so the
+        # reference decides containment
         for body in itertools.permutations((1, 2, 3)):
             spec = consecutive_machine(body)
             rev_pat = consecutive(reverse(body))
             for n in range(9):
                 for p in all_permutations(n):
-                    if not contains(p, rev_pat):
+                    if not contains_reference(p, rev_pat):
                         assert run(spec, p) == reverse(p)
 
 

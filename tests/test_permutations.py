@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pattern_bodies, permutations_up_to
+from conftest import (
+    avoiders_reference,
+    contains_reference,
+    every_machine_shape,
+    pattern_bodies,
+    permutations_up_to,
+)
+from stacksorting.machine import consecutive_machine, trace
 from stacksorting.permutations import (
     all_permutations,
     ascending_runs,
@@ -160,6 +167,64 @@ class TestContains:
         for n in range(9):
             for p in all_permutations(n):
                 assert contains(p, classical((2, 1))) == contains(p, consecutive((2, 1)))
+
+
+# several patterns of mixed lengths and modes, beside every_machine_shape's
+PATTERN_MIXES = [
+    (consecutive((1, 3, 2, 4)), consecutive((4, 2, 3, 1))),
+    (classical((1, 3, 2)), classical((2, 3, 1))),
+    (classical((1, 3, 2)), consecutive((1, 2, 3, 4))),
+    (classical((1, 3, 2, 4)), vincular((2, 3, 1), (1,))),
+    (vincular((3, 1, 4, 2), (2,)), consecutive((1, 2, 3))),
+    (classical((2, 1, 3, 5, 4)), consecutive((3, 1, 2)), vincular((2, 1), (1,))),
+]
+
+
+class TestGeneratedSearch:
+    """``contains`` and ``pattern_avoiders`` run the generated search; the
+    backtracking reference, filtered over S_n, checks them."""
+
+    @pytest.mark.parametrize(
+        "patterns", [spec.forbidden for spec in every_machine_shape()] + PATTERN_MIXES,
+        ids=lambda patterns: "+".join(map(str, patterns)),
+    )
+    def test_matches_reference(self, patterns):
+        for n in range(7):
+            hosts = list(all_permutations(n))
+            for q in patterns:
+                assert [contains(h, q) for h in hosts] == [contains_reference(h, q) for h in hosts]
+            assert list(pattern_avoiders(n, patterns)) == avoiders_reference(n, patterns)
+
+    def test_no_patterns_gives_every_permutation(self):
+        for n in range(6):
+            assert list(pattern_avoiders(n, [])) == list(all_permutations(n))
+
+    def test_n_zero(self):
+        assert list(pattern_avoiders(0, [classical((2, 1))])) == [()]
+
+    def test_negative_n_rejected_at_the_call(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            pattern_avoiders(-1, [classical((2, 1))])
+
+    def test_host_shorter_than_the_pattern(self):
+        for q in (consecutive((1, 2, 3)), classical((2, 3, 1)), vincular((1, 3, 2, 4), (2,))):
+            for n in range(len(q.body)):
+                assert not any(contains(h, q) for h in all_permutations(n))
+
+    def test_hosts_of_other_distinct_values(self):
+        # stack snapshots of a trace, read top to bottom, and shifted scaled
+        # hosts that hold zero and negative values
+        patterns = [pat(body) for body in itertools.permutations((1, 2, 3))
+                    for pat in (consecutive, classical, lambda b: vincular(b, (1,)))]
+        snapshots = {step.stack_after for p in all_permutations(6)
+                     for step in trace(consecutive_machine((2, 3, 1)), p)}
+        for host in snapshots:
+            for q in patterns:
+                assert contains(host, q) == contains_reference(host, q), (host, q)
+        for host in all_permutations(5):
+            moved = tuple(10 * v - 25 for v in host)
+            for q in patterns:
+                assert contains(moved, q) == contains(host, q), (moved, q)
 
 
 class TestRuns:
