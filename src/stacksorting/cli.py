@@ -301,9 +301,11 @@ def cmd_phi(perm, invert):
 @cli.command("class-check")
 @click.option("--pattern", required=True, help="single pattern body")
 @click.option("--brute-n", default=0, type=int,
-              help="verify the verdict by brute closure test up to this size")
+              help="verify the verdict by brute closure test up to this size (0: skip)")
 def cmd_class_check(pattern, brute_n):
     """Is the machine's sortable set a permutation class?"""
+    if brute_n < 0:
+        raise click.UsageError("--brute-n must be >= 0 (0 skips the brute check)")
     sigma = _parse_perm(pattern)
     verdict = sortable.classify_sortable_set(sigma)
     click.echo(verdict.value)

@@ -122,12 +122,13 @@ def run(spec: MachineSpec, perm: Sequence[int]) -> Perm:
 _SUFFIX = 4
 
 
-def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[Perm, Perm]]:
-    """``(perm, image)`` for every permutation of [n] starting with ``prefix``,
-    in lexicographic order.
+def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[Perm]:
+    """The image of every permutation of [n] starting with ``prefix``, in the
+    lexicographic order of the permutations: the i-th image is that of the
+    i-th permutation of ``all_permutations`` with that prefix.
 
-    >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))
-    [((2, 1, 3), (1, 2, 3)), ((2, 3, 1), (2, 1, 3))]
+    >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
+    [(1, 2, 3), (2, 1, 3)]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -143,14 +144,13 @@ def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[tupl
         head_stack = stack.copy()
         head_out = out.copy()
         feed(head_stack, head_out, head)
-        start = prefix + head
         for tail in itertools.permutations([v for v in rest if v not in head]):
             s = head_stack.copy()
             o = head_out.copy()
             feed(s, o, tail)
             s.reverse()
             o += s
-            yield start + tail, tuple(o)
+            yield tuple(o)
 
 
 def _ranker(n: int) -> Callable[[Perm], int]:
@@ -179,8 +179,7 @@ def image_map(spec: MachineSpec, n: int) -> array:
     >>> list(image_map(consecutive_machine((2, 1)), 3))
     [0, 0, 0, 2, 0, 0]
     """
-    ranker = _ranker(n)
-    return array("i", (ranker(image) for _, image in scan(spec, n)))
+    return array("i", map(_ranker(n), scan(spec, n)))
 
 
 def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> Iterator:
@@ -188,9 +187,9 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
 
     Serially the whole scan is one partition; with ``jobs > 1`` each first
     entry is one, run in a process pool of at most one worker per partition.
-    ``reduce`` takes an iterator of ``(perm, image)`` pairs and must be a
-    module-level function, so that it pickles.  Results are yielded as they
-    arrive, so that the caller can fold each one in before the next.
+    ``reduce`` takes the partition's images, in ``scan`` order, and must
+    pickle, like a module-level function or ``Counter``.  Results are yielded
+    as they arrive, so that the caller can fold each one in before the next.
     """
     if jobs > 1 and n >= 2:
         tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]

@@ -1,21 +1,23 @@
 """Fibers of the stack machines: who maps where, and how often.
 
 Whole-fiber questions go through a single forward pass tallying the image of
-S_n rather than inverting per target.
+S_n rather than inverting per target.  The scan yields images only; a
+preimage is read back as the permutation at the same lexicographic position.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import bounds
 from .machine import MachineSpec, consecutive_machine, scan, scan_reduce
 from .permutations import (
     Perm,
+    all_permutations,
     as_permutation,
     ascent_slot_counts,
     descent_prefix_counts,
@@ -38,12 +40,8 @@ def fiber(spec: MachineSpec, target: Sequence[int], max_n: int = bounds.SCAN_BOU
     target = as_permutation(target)
     n = len(target)
     bounds.check_scan_bound(n, max_n, "fiber")
-    members = tuple(p for p, image in scan(spec, n) if image == target)
-    return FiberReport(target, members)
-
-
-def _tally_images(pairs: Iterable[tuple[Perm, Perm]]) -> Counter:
-    return Counter(map(itemgetter(1), pairs))
+    members = compress(all_permutations(n), map(target.__eq__, scan(spec, n)))
+    return FiberReport(target, tuple(members))
 
 
 def image_tally(
@@ -51,7 +49,7 @@ def image_tally(
 ) -> Counter:
     """Multiset of machine images over all of S_n (fiber sizes by target)."""
     bounds.check_scan_bound(n, max_n, "image_tally")
-    parts = scan_reduce(spec, n, _tally_images, jobs)
+    parts = scan_reduce(spec, n, Counter, jobs)
     tally = next(parts)
     for part in parts:
         tally.update(part)
@@ -69,12 +67,12 @@ def max_fertility(
 
 
 def fertility_spectrum(
-    spec: MachineSpec, n_max: int, max_n: int = bounds.SCAN_BOUND, jobs: int = 1
+    spec: MachineSpec, n_max: int, max_n: int = bounds.SCAN_BOUND
 ) -> set[int]:
     """Every fiber size achieved by some target of length <= n_max."""
     sizes: set[int] = set()
     for n in range(1, n_max + 1):
-        sizes.update(image_tally(spec, n, max_n=max_n, jobs=jobs).values())
+        sizes.update(image_tally(spec, n, max_n=max_n).values())
     return sizes
 
 

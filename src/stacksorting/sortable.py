@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from operator import countOf, itemgetter
+from operator import countOf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds
@@ -53,11 +53,11 @@ def sortable_members(
     The bound is checked at the call, not at the first ``next``.
     """
     bounds.check_scan_bound(n, max_n, "sortable_members")
-    return (p for p, image in scan(spec, n) if avoids_231(image))
+    return itertools.compress(all_permutations(n), map(avoids_231, scan(spec, n)))
 
 
-def _count_sortable_images(pairs: Iterable[tuple[Perm, Perm]]) -> int:
-    return countOf(map(avoids_231, map(itemgetter(1), pairs)), True)
+def _count_sortable_images(images: Iterable[Perm]) -> int:
+    return countOf(map(avoids_231, images), True)
 
 
 def count_sortable(
@@ -224,15 +224,17 @@ def from_dyck_path(word: str) -> Perm:
 # ---------------------------------------------------------------------------
 
 def is_downward_closed(
-    member: Callable[[Perm], bool], max_n: int, min_n: int = 1
+    member: Callable[[Perm], bool], max_n: int
 ) -> tuple[bool, tuple[Perm, Perm] | None]:
     """Is the membership predicate closed under classical pattern containment?
 
-    Checks one length down only, which suffices by transitivity.  Returns
-    (True, None) or (False, (member, missing_child)).
+    Checks lengths 1..max_n, one length down only, which suffices by
+    transitivity.  Returns (True, None) or (False, (member, missing_child)).
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, not {max_n}: no length to check")
     bounds.check_scan_bound(max_n, bounds.PAIRWISE_BOUND, "is_downward_closed")
-    for n in range(min_n, max_n + 1):
+    for n in range(1, max_n + 1):
         for p in all_permutations(n):
             if not member(p):
                 continue

@@ -119,6 +119,12 @@ class TestConjectureCommand:
         code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", n)
         assert code == 1 and out == "" and "no case" in err
 
+    @pytest.mark.parametrize("name", ["fine-transform", "2n-4", "fertility-spectrum", "vn-limit"])
+    def test_sigma_with_another_name_exits_1(self, capsys, name):
+        code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", "4",
+                                "--sigma", "1234")
+        assert code == 1 and out == "" and "only general-periodic" in err
+
     def test_single_sigma(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "--name", "general-periodic",
                               "--n", "5", "--sigma", "1234")
@@ -228,6 +234,14 @@ class TestClassCheck:
         assert code == 0
         assert "not a permutation class" in out
         assert "agreement yes" in out
+
+    def test_negative_brute_n_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "class-check", "--pattern", "231", "--brute-n", "-1")
+        assert code == 1 and out == "" and "--brute-n must be >= 0" in err
+
+    def test_zero_brute_n_skips_the_check(self, capsys):
+        code, out, _ = invoke(capsys, "class-check", "--pattern", "231", "--brute-n", "0")
+        assert code == 0 and out == "not a permutation class\n"
 
     def test_class_verdict(self, capsys):
         code, out, _ = invoke(capsys, "class-check", "--pattern", "2431")

@@ -122,7 +122,7 @@ class TestIterationsUntil:
 
     def test_bad_target_diagnosed(self):
         with pytest.raises(RuntimeError):
-            iterations_until(SC132, (1, 2, 3), lambda p: False, cap=10)
+            iterations_until(SC132, (1, 2, 3), lambda p: False)
 
     def test_preperiod_decrement(self):
         pts = periodic_points(SC132, 5)
@@ -243,6 +243,25 @@ class TestProbes:
             assert r.holds
             assert r.details["observed_periods"] == [2]
 
+    def test_general_periodic_witnesses_from_streamed_avoiders(self, monkeypatch):
+        # drop the first four avoiders and merge in the first three other
+        # permutations, in order: the dropped ones are unexpected periodic
+        # points, the added ones missing, and the details stay those of S_6
+        from stacksorting import dynamics
+
+        sigma, n = (1, 3, 2), 6
+        real = list(pattern_avoiders(n, [consecutive(sigma), consecutive((2, 3, 1))]))
+        extra = [p for p in all_permutations(n) if p not in real][:3]
+        streamed = sorted(real[4:] + extra)
+        details = probe_general_periodic(sigma, n).details
+        monkeypatch.setattr(dynamics, "pattern_avoiders", lambda n, pats: iter(streamed))
+        r = probe_general_periodic(sigma, n)
+        assert not r.holds and r.details == details
+        assert r.witnesses == tuple(
+            [{"kind": "unexpected_periodic", "perm": format_permutation(p)} for p in real[:3]]
+            + [{"kind": "missing_periodic", "perm": format_permutation(p)} for p in extra]
+        )
+
     def test_general_periodic_scope_gate(self):
         with pytest.raises(ValueError):
             probe_general_periodic((2, 1), 4)
@@ -304,6 +323,11 @@ class TestProbes:
         assert r.holds and len(r.details["cases"]) == 2
         with pytest.raises(ValueError):
             run_conjecture("riemann", 4)
+
+    @pytest.mark.parametrize("name", ["fine-transform", "2n-4", "fertility-spectrum", "vn-limit"])
+    def test_run_conjecture_refuses_an_unread_sigma(self, name):
+        with pytest.raises(ValueError, match="only general-periodic"):
+            run_conjecture(name, 4, sigma=(1, 2, 3, 4))
 
     def test_run_conjecture_general_periodic_single_sigma(self):
         r = run_conjecture("general-periodic", 5, sigma=(1, 2, 3, 4))

@@ -38,8 +38,8 @@ from stacksorting.permutations import (
     reverse,
     vincular,
 )
-from stacksorting.preimages import image_tally
-from stacksorting.sortable import count_sortable
+from stacksorting.preimages import fiber, image_tally
+from stacksorting.sortable import count_sortable, is_sortable, sortable_members
 
 SC231 = consecutive_machine((2, 3, 1))
 SC132 = consecutive_machine((1, 3, 2))
@@ -183,20 +183,32 @@ class TestScan:
 
     @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
     def test_scan_matches_run_and_reference(self, spec):
+        # the i-th image is that of the i-th permutation in lexicographic order
         for n in range(7):
-            expected = [(p, run(spec, p)) for p in all_permutations(n)]
-            for p, image in expected:
+            perms = list(all_permutations(n))
+            expected = [run(spec, p) for p in perms]
+            for p, image in zip(perms, expected):
                 assert image == output_of_trace(trace(spec, p, record_stacks=False))
             assert list(scan(spec, n)) == expected
             for first in range(1, n + 1):
                 assert list(scan(spec, n, (first,))) == [
-                    pair for pair in expected if pair[0][0] == first
+                    image for p, image in zip(perms, expected) if p[0] == first
                 ]
 
     def test_longer_prefix(self):
         assert list(scan(SC231, 7, (3, 1, 7))) == [
-            (p, run(SC231, p)) for p in all_permutations(7) if p[:3] == (3, 1, 7)
+            run(SC231, p) for p in all_permutations(7) if p[:3] == (3, 1, 7)
         ]
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_sources_are_lexicographic_positions(self, spec):
+        # fiber and sortable_members read each source off its scan position
+        for n in range(7):
+            perms = list(all_permutations(n))
+            assert list(sortable_members(spec, n)) == [p for p in perms if is_sortable(spec, p)]
+            if n <= 5:  # each fiber rescans S_n, so every target of S_6 is too slow
+                for t in perms:
+                    assert fiber(spec, t).preimages == tuple(p for p in perms if run(spec, p) == t)
 
     @pytest.mark.parametrize("prefix", [(0,), (4,), (1, 1)])
     def test_bad_prefix_rejected(self, prefix):
@@ -277,7 +289,7 @@ def _scan_agrees_with_trace(spec, runner, max_n=7):
     # TestScan stops at S_6
     assert _compiled_runner(spec).__name__ == runner
     for n in range(max_n + 1):
-        assert [image for _, image in scan(spec, n)] == [
+        assert list(scan(spec, n)) == [
             output_of_trace(trace(spec, p, record_stacks=False)) for p in all_permutations(n)
         ]
 

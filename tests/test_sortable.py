@@ -59,7 +59,7 @@ class TestAvoids231:
         for body in itertools.permutations((1, 2, 3)):
             spec = consecutive_machine(body)
             for n in range(9):
-                for _, image in scan(spec, n):
+                for image in scan(spec, n):
                     assert avoids_231(image) == (stack_sort(image) == identity(n))
 
 
@@ -322,6 +322,11 @@ class TestClassCriterion:
         assert not closed and pair is not None
         assert is_sortable(SC231, (2, 5, 3, 1, 4))
         assert not is_sortable(SC231, (2, 4, 1, 3))
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_closure_needs_a_length(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            is_downward_closed(lambda p: True, max_n)
 
     def test_avoidance_class_is_closed(self):
         pat = classical((2, 3, 1))
