@@ -16,6 +16,7 @@ from . import bounds, preimages, sequences, sortable
 from .machine import (
     MachineSpec,
     _compiled_runner,
+    _ranker,
     classical_machine,
     consecutive_machine,
     image_map,
@@ -57,36 +58,45 @@ def orbit(spec: MachineSpec, perm: Sequence[int]) -> OrbitReport:
     return OrbitReport((*seen, x), first, len(seen) - first)
 
 
-def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -> set[Perm]:
-    """All permutations of [n] lying on a cycle of the machine.
-
-    The eventual image of the image map: the ranks hit, then those hit from
-    them, and so on until the set stops shrinking, when the map is onto it.
-    """
-    bounds.check_scan_bound(n, max_n, "periodic_points")
-    image = image_map(spec, n)
-    live = range(len(image))
+def _cyclic_ranks(image: array) -> set[int]:
+    """The ranks on a cycle of the map: its eventual image, the ranks hit, then
+    those hit from them, until the set stops shrinking and the map is onto it."""
+    live = set(image)
     while len(shrunk := set(map(image.__getitem__, live))) < len(live):
         live = shrunk
+    return live
+
+
+def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -> set[Perm]:
+    """All permutations of [n] lying on a cycle of the machine."""
+    bounds.check_scan_bound(n, max_n, "periodic_points")
+    image = image_map(spec, n)
+    live = _cyclic_ranks(image)
     return set(itertools.compress(all_permutations(n), map(live.__contains__, range(len(image)))))
 
 
-def cycle_periods(spec: MachineSpec, points: Iterable[Perm]) -> set[int]:
-    """Cycle lengths occurring among the given periodic points; ValueError for
-    a point that is not periodic, whose orbit returns to another entry."""
-    runner = _compiled_runner(spec)
+def _cycle_lengths(step: Callable, points: Iterable) -> set[int]:
+    """Cycle lengths of the map ``step`` among the given periodic points; a
+    permutation that is not periodic, whose walk returns to another entry, is
+    a ValueError (a rank from ``_cyclic_ranks`` always is periodic)."""
     periods: set[int] = set()
     remaining = set(points)
     while remaining:
         x = start = remaining.pop()
         cycle = {start}
-        while (x := runner(x)) != start:
+        while (x := step(x)) != start:
             if x in cycle:
                 raise ValueError(f"not a periodic point: {format_permutation(start)}")
             cycle.add(x)
         remaining -= cycle
         periods.add(len(cycle))
     return periods
+
+
+def cycle_periods(spec: MachineSpec, points: Iterable[Perm]) -> set[int]:
+    """Cycle lengths occurring among the given periodic points; ValueError for
+    a point that is not periodic, whose orbit returns to another entry."""
+    return _cycle_lengths(_compiled_runner(spec), points)
 
 
 def iterations_until(
@@ -224,12 +234,17 @@ def _orbit_report(
 ) -> ConjectureReport:
     """A probe's verdict from the ranks of its first slow orbit and first
     violation: it holds when there is no violation."""
-    witnesses = []
-    for kind, r in (("slow", slow), ("violation", violation)):
-        if r is not None:
-            perm = next(itertools.islice(all_permutations(n), r, None))
-            witnesses.append({"kind": kind, "perm": format_permutation(perm)})
-    return ConjectureReport(name, n, violation is None, tuple(witnesses), details)
+    witnesses = tuple(
+        {"kind": kind, "perm": format_permutation(_unrank(n, r))}
+        for kind, r in (("slow", slow), ("violation", violation))
+        if r is not None
+    )
+    return ConjectureReport(name, n, violation is None, witnesses, details)
+
+
+def _unrank(n: int, r: int) -> Perm:
+    """The permutation of rank r in the lexicographic order of S_n."""
+    return next(itertools.islice(all_permutations(n), r, None))
 
 
 def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -266,33 +281,26 @@ def probe_general_periodic(
             "the periodic-point conjecture concerns patterns of length >= 3"
         )
     spec = consecutive_machine(sigma)
-    points = periodic_points(spec, n, max_n=max_n)
-    # the lexicographic avoiders strike off a copy of the points or are missing
-    unexpected = set(points)
-    missing = []
-    for p in pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))]):
-        if p in unexpected:
-            unexpected.remove(p)
-        else:
-            missing.append(p)
-    holds = not unexpected and not missing
-    witnesses = []
-    for p in sorted(unexpected)[:3]:
-        witnesses.append({"kind": "unexpected_periodic", "perm": format_permutation(p)})
-    for p in missing[:3]:
-        witnesses.append({"kind": "missing_periodic", "perm": format_permutation(p)})
-    periods = sorted(cycle_periods(spec, points)) if points else []
-    return ConjectureReport(
-        "general-periodic",
-        n,
-        holds,
-        tuple(witnesses),
-        {
-            "pattern": format_permutation(sigma),
-            "periodic_count": len(points),
-            "observed_periods": periods,
-        },
+    bounds.check_scan_bound(n, max_n, "probe_general_periodic")
+    image = image_map(spec, n)
+    live = _cyclic_ranks(image)
+    avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
+    expected = set(map(_ranker(n), avoiders))
+    # the first few of each difference, in rank (lexicographic) order
+    witnesses = tuple(
+        {"kind": kind, "perm": format_permutation(_unrank(n, r))}
+        for kind, ranks in (
+            ("unexpected_periodic", live - expected),
+            ("missing_periodic", expected - live),
+        )
+        for r in sorted(ranks)[:3]
     )
+    details = {
+        "pattern": format_permutation(sigma),
+        "periodic_count": len(live),
+        "observed_periods": sorted(_cycle_lengths(image.__getitem__, live)),
+    }
+    return ConjectureReport("general-periodic", n, live == expected, witnesses, details)
 
 
 def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -311,20 +319,21 @@ def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
 def probe_fine_transform(n_max: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
     """Does the binomial transform of the Fine numbers count the sortable set
     of the 231 consecutive machine?"""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     spec = consecutive_machine((2, 3, 1))
-    rows = []
-    holds = True
-    for n in range(n_max + 1):
-        predicted = sequences.fine_binomial_transform(n)
-        counted = sortable.count_sortable(spec, n, max_n=max_n)
-        rows.append({"n": n, "predicted": predicted, "counted": counted})
-        holds = holds and predicted == counted
-    witnesses = [
-        {"kind": "mismatch", "n": r["n"]} for r in rows if r["predicted"] != r["counted"]
+    rows = [
+        {
+            "n": n,
+            "predicted": sequences.fine_binomial_transform(n),
+            "counted": sortable.count_sortable(spec, n, max_n=max_n),
+        }
+        for n in range(n_max + 1)
     ]
-    return ConjectureReport(
-        "fine-transform", n_max, holds, tuple(witnesses), {"rows": rows}
+    witnesses = tuple(
+        {"kind": "mismatch", "n": r["n"]} for r in rows if r["predicted"] != r["counted"]
     )
+    return ConjectureReport("fine-transform", n_max, not witnesses, witnesses, {"rows": rows})
 
 
 def probe_fertility_spectrum(
@@ -340,52 +349,33 @@ def probe_fertility_spectrum(
     found.  The classic increasing-stack machine's permanently missing size 3
     is recorded for contrast.
     """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2, where a previous bound first has fibers")
     per_pattern = {}
-    holds = True
     witnesses = []
     for sigma in itertools.permutations((1, 2, 3)):
         spec = consecutive_machine(sigma)
-        # fiber sizes by target length, each S_n tallied once
-        by_n = [
-            set(preimages.image_tally(spec, n, max_n=max_n).values())
-            for n in range(1, n_max + 1)
-        ]
-        sizes = set().union(*by_n)
+        # fiber sizes up to the previous bound, then at n_max: each S_n tallied once
+        previous = preimages.fertility_spectrum(spec, n_max - 1, max_n=max_n)
+        sizes = previous | set(preimages.image_tally(spec, n_max, max_n=max_n).values())
         gaps = preimages.spectrum_gaps(sizes)
-        prefix = 0
-        while prefix + 1 in sizes:
-            prefix += 1
-        previous_max = max(set().union(*by_n[:-1]), default=0)
-        covered = prefix >= previous_max
+        previous_max = max(previous)
         per_pattern[format_permutation(sigma)] = {
-            "max": max(sizes, default=0),
-            "contiguous_to": prefix,
+            "max": max(sizes),
+            "contiguous_to": gaps[0] - 1 if gaps else max(sizes),
             "previous_bound_max": previous_max,
             "first_gap": gaps[0] if gaps else None,
             "gaps": gaps,
         }
-        if not covered:
-            holds = False
+        if gaps and gaps[0] <= previous_max:
             witnesses.append(
-                {
-                    "kind": "uncovered",
-                    "pattern": format_permutation(sigma),
-                    "missing": next(f for f in gaps if f <= previous_max),
-                }
+                {"kind": "uncovered", "pattern": format_permutation(sigma), "missing": gaps[0]}
             )
     classic_sizes = preimages.fertility_spectrum(
         classical_machine((2, 1)), min(n_max, 7), max_n=max_n
     )
-    return ConjectureReport(
-        "fertility-spectrum",
-        n_max,
-        holds,
-        tuple(witnesses),
-        {
-            "per_pattern": per_pattern,
-            "classic_stack_missing_3": 3 not in classic_sizes,
-        },
-    )
+    details = {"per_pattern": per_pattern, "classic_stack_missing_3": 3 not in classic_sizes}
+    return ConjectureReport("fertility-spectrum", n_max, not witnesses, tuple(witnesses), details)
 
 
 # each conjecture by the smallest n that gives it a case to check

@@ -26,6 +26,7 @@ from .permutations import (
     PatternSpec,
     Perm,
     _compiled_feed,
+    as_permutation,
     ascending_runs,
     classical,
     consecutive,
@@ -169,7 +170,7 @@ def _ranker(n: int) -> Callable[[Perm], int]:
 
 def rank(perm: Sequence[int]) -> int:
     """Position of a permutation of [n] in the lexicographic order of S_n."""
-    return _ranker(len(perm))(tuple(perm))
+    return _ranker(len(perm))(as_permutation(perm))
 
 
 def image_map(spec: MachineSpec, n: int) -> array:

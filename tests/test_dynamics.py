@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,8 @@ SC132 = consecutive_machine((1, 3, 2))
 SC321 = consecutive_machine((3, 2, 1))
 S132 = classical_machine((1, 3, 2))
 S312 = classical_machine((3, 1, 2))
+
+EXPECTED = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
 
 
 class TestOrbit:
@@ -262,6 +267,19 @@ class TestProbes:
             + [{"kind": "missing_periodic", "perm": format_permutation(p)} for p in extra]
         )
 
+    @pytest.mark.parametrize("sigma", [
+        s for k in (3, 4) for s in itertools.permutations(range(1, k + 1))
+    ], ids=format_permutation)
+    def test_general_periodic_details_by_periodic_points(self, sigma):
+        # the probe reads ranks off the image map; periodic_points unranks
+        # them and cycle_periods walks each cycle on the runner
+        spec = consecutive_machine(sigma)
+        for n in range(1, 7):
+            points = periodic_points(spec, n)
+            details = probe_general_periodic(sigma, n).details
+            assert details["periodic_count"] == len(points)
+            assert details["observed_periods"] == sorted(cycle_periods(spec, points))
+
     def test_general_periodic_scope_gate(self):
         with pytest.raises(ValueError):
             probe_general_periodic((2, 1), 4)
@@ -316,6 +334,26 @@ class TestProbes:
         # that there is nothing to verify
         with pytest.raises(ValueError):
             run_conjecture(name, n)
+
+    @pytest.mark.parametrize("probe, n_max", [
+        pytest.param(probe_fine_transform, -1, id="fine-transform"),
+        pytest.param(probe_fertility_spectrum, 1, id="fertility-spectrum-1"),
+        pytest.param(probe_fertility_spectrum, 0, id="fertility-spectrum-0"),
+    ])
+    def test_probe_without_cases_rejected(self, probe, n_max):
+        # called directly, not through run_conjecture
+        with pytest.raises(ValueError, match="n_max must be >="):
+            probe(n_max)
+
+    @pytest.mark.parametrize("key", [
+        key for key in EXPECTED["payload_sha256"] if int(key.split()[-1]) <= 6
+    ])
+    def test_payload_matches_benchmark_pin(self, key):
+        # the small-scale payload sha256s the benchmark checks, byte for byte
+        _, name, n = key.split()
+        payload = run_conjecture(name, int(n)).payload()
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == EXPECTED["payload_sha256"][key]
 
     def test_run_conjecture_aggregates(self):
         r = run_conjecture("2n-4", 4)

@@ -274,6 +274,11 @@ class TestImageMap:
             for p, r in _ranks(n).items():
                 assert rank(p) == r
 
+    @pytest.mark.parametrize("word", [(2, 3), (1, 1), (0,), (1, 3, 2, 5)], ids=str)
+    def test_rank_rejects_a_non_permutation(self, word):
+        with pytest.raises(ValueError, match="not a permutation"):
+            rank(word)
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             image_map(SC231, -1)
