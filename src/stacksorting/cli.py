@@ -16,7 +16,8 @@ import click
 
 from . import bounds, dynamics, golden, preimages, sequences, sortable
 from .bounds import ResourceBoundError
-from .machine import MachineSpec, machine_of, run as run_machine, trace as machine_trace
+from .machine import MachineSpec, machine_of, output_of_trace, trace as machine_trace
+from .machine import run as run_machine
 from .permutations import (
     PatternSpec,
     classical,
@@ -111,7 +112,6 @@ def cmd_trace(pattern, mode, input_, show_stack, fmt):
     spec = _parse_machine(pattern, mode)
     perm = _parse_perm(input_)
     steps = machine_trace(spec, perm, record_stacks=show_stack)
-    out = run_machine(spec, perm)
     if fmt == "plain":
         for s in steps:
             line = f"{s.kind} {s.value}"
@@ -121,7 +121,7 @@ def cmd_trace(pattern, mode, input_, show_stack, fmt):
         return
     payload = {
         "input": format_permutation(perm),
-        "output": format_permutation(out),
+        "output": format_permutation(output_of_trace(steps)),
         "steps": [
             {"op": s.kind, "value": s.value}
             | ({"stack": format_permutation(s.stack_after)} if show_stack else {})
@@ -275,6 +275,7 @@ def cmd_sortable(pattern, mode, n, count_only, list_, bfile, jobs, unsafe_n):
     if bfile:
         if n < 0:
             raise click.UsageError("--n must be >= 0")
+        bounds.check_scan_bound(n, max_n, "count_sortable")
         for m in range(n + 1):
             click.echo(f"{m} {sortable.count_sortable(spec, m, max_n=max_n, jobs=jobs)}")
         return

@@ -410,6 +410,7 @@ def run_conjecture(
         raise ValueError(f"conjecture {name} takes no pattern; only general-periodic does")
     if n < _FIRST_N[name]:
         raise ValueError(f"conjecture {name} has no case to check up to n = {n}")
+    bounds.check_scan_bound(n, max_n, "run_conjecture")
     if name == "fine-transform":
         return probe_fine_transform(n, max_n=max_n)
     if name == "fertility-spectrum":

@@ -8,8 +8,9 @@ through an occurrence whose first entry is the incoming one.
 
 Every machine runs one body generated from its patterns by
 ``permutations._compiled_feed``, labelled ``consecutive`` when all the patterns
-are consecutive and ``generic`` otherwise.  ``trace`` keeps the backtracking
-reference decider, against which the tests check the rest.
+are consecutive and ``generic`` otherwise.  The tests check it against the
+independent routes: ``trace`` (the backtracking reference decider),
+``stack_sort`` and the closed-form images of the monotone length-3 machines.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .permutations import (
     consecutive,
     descending_runs,
     occurs_with_first_entry,
-    run_ends,
-    run_interior,
 )
 
 
@@ -245,15 +244,10 @@ def output_of_trace(steps: Iterable[TraceStep]) -> Perm:
 
 
 def premature_entries(spec: MachineSpec, perm: Sequence[int]) -> list[int]:
-    """Entries popped before the final input entry has been pushed, in pop order."""
-    n = len(perm)
-    pushes = 0
+    """Entries popped before the final input entry has been pushed, in pop
+    order: the feed does not drain, so its output holds exactly those."""
     out: list[int] = []
-    for step in trace(spec, perm, record_stacks=False):
-        if step.kind == "push":
-            pushes += 1
-        elif pushes < n:
-            out.append(step.value)
+    _compiled_feed(spec.forbidden)([], out, perm)
     return out
 
 
@@ -265,10 +259,9 @@ def _image_of_runs(runs: Sequence[Perm]) -> Perm:
     """Each run contributes its interior immediately and its two ends at drain
     time, so the output is the interiors in order followed by the reversed
     concatenation of the run ends."""
-    out = [v for r in runs for v in run_interior(r)]
-    tail = [v for r in runs for v in run_ends(r)]
-    out.extend(reversed(tail))
-    return tuple(out)
+    out = [v for r in runs for v in r[1:-1]]
+    tail = [v for r in runs for v in (r if len(r) <= 2 else (r[0], r[-1]))]
+    return tuple(out + tail[::-1])
 
 
 def consecutive_321_image(perm: Sequence[int]) -> Perm:

@@ -21,6 +21,7 @@ the backtracking reference search, against which the tests check the rest.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -396,66 +397,29 @@ def contains(host: Sequence[int], pattern: PatternSpec) -> bool:
 # runs and statistics
 # ---------------------------------------------------------------------------
 
+def _runs(perm: Sequence[int], breaks: Callable[[int, int], bool]) -> tuple[Perm, ...]:
+    """Maximal consecutive blocks, split between u and v wherever ``breaks(u, v)``."""
+    runs: list[list[int]] = []
+    for v in perm:
+        if runs and not breaks(runs[-1][-1], v):
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return tuple(map(tuple, runs))
+
+
 def ascending_runs(perm: Sequence[int]) -> tuple[Perm, ...]:
     """Maximal consecutive increasing blocks.
 
     >>> ascending_runs((7, 8, 6, 2, 3, 5, 1))
     ((7, 8), (6,), (2, 3, 5), (1,))
     """
-    runs: list[Perm] = []
-    cur: list[int] = []
-    for v in perm:
-        if cur and cur[-1] > v:
-            runs.append(tuple(cur))
-            cur = [v]
-        else:
-            cur.append(v)
-    if cur:
-        runs.append(tuple(cur))
-    return tuple(runs)
+    return _runs(perm, operator.gt)
 
 
 def descending_runs(perm: Sequence[int]) -> tuple[Perm, ...]:
-    runs: list[Perm] = []
-    cur: list[int] = []
-    for v in perm:
-        if cur and cur[-1] < v:
-            runs.append(tuple(cur))
-            cur = [v]
-        else:
-            cur.append(v)
-    if cur:
-        runs.append(tuple(cur))
-    return tuple(runs)
-
-
-def run_ends(run: Sequence[int]) -> Perm:
-    """First and last entry of a run (the whole run when its length is <= 2)."""
-    if len(run) <= 2:
-        return tuple(run)
-    return (run[0], run[-1])
-
-
-def run_interior(run: Sequence[int]) -> Perm:
-    """The run without its first and last entry."""
-    if len(run) <= 2:
-        return ()
-    return tuple(run[1:-1])
-
-
-def left_to_right_minima(perm: Sequence[int]) -> list[int]:
-    """Entries strictly smaller than everything before them, in order.
-
-    >>> left_to_right_minima((4, 5, 7, 2, 1, 6, 3))
-    [4, 2, 1]
-    """
-    out: list[int] = []
-    lo = None
-    for v in perm:
-        if lo is None or v < lo:
-            out.append(v)
-            lo = v
-    return out
+    """Maximal consecutive decreasing blocks."""
+    return _runs(perm, operator.lt)
 
 
 def is_vee_shaped(perm: Sequence[int]) -> bool:

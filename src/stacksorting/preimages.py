@@ -70,6 +70,7 @@ def fertility_spectrum(
     spec: MachineSpec, n_max: int, max_n: int = bounds.SCAN_BOUND
 ) -> set[int]:
     """Every fiber size achieved by some target of length <= n_max."""
+    bounds.check_scan_bound(n_max, max_n, "fertility_spectrum")
     sizes: set[int] = set()
     for n in range(1, n_max + 1):
         sizes.update(image_tally(spec, n, max_n=max_n).values())

@@ -123,10 +123,6 @@ def binomial_transform(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def first_differences(seq: Sequence[int]) -> tuple[int, ...]:
-    return tuple(seq[i + 1] - seq[i] for i in range(len(seq) - 1))
-
-
 @dataclass(frozen=True)
 class SequenceTable:
     """A named integer sequence with an offset, for goldens and b-file export."""

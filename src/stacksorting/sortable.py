@@ -123,9 +123,7 @@ def structural_sortable_decreasing(perm: Sequence[int], k: int) -> bool:
     """Sortability under the k(k-1)..1 consecutive machine for k >= 3."""
     if k < 3:
         raise ValueError("decreasing-pattern characterization needs k >= 3")
-    return not contains(perm, _P132) and not contains(
-        perm, consecutive(range(1, k + 1))
-    )
+    return structural_sortable_av132_rev(perm, range(k, 0, -1))
 
 
 def structural_sortable_av132_rev(perm: Sequence[int], sigma: Sequence[int]) -> bool:

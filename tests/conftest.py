@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import strategies as st
 
+from stacksorting import dynamics, preimages, sortable
 from stacksorting.machine import consecutive_machine, machine_of
 from stacksorting.permutations import (
     all_permutations,
@@ -40,6 +41,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, label, secs, status in sorted(_ACCEPTANCE):
         terminalreporter.write_line(f"criterion {num:>2} {status:<4} ({secs:6.1f}s)  {label}")
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Make every scan that a bound check should forestall fail the test."""
+    def scan(*args, **kwargs):
+        raise AssertionError("scanned before the bound check")
+
+    monkeypatch.setattr(dynamics, "image_map", scan)
+    monkeypatch.setattr(sortable, "count_sortable", scan)
+    monkeypatch.setattr(preimages, "image_tally", scan)
 
 
 # --- shared machines -------------------------------------------------------

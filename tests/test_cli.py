@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from stacksorting import cli, golden, sequences
+from stacksorting import cli, dynamics, golden, sequences
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -125,6 +125,11 @@ class TestConjectureCommand:
                                 "--sigma", "1234")
         assert code == 1 and out == "" and "only general-periodic" in err
 
+    @pytest.mark.parametrize("name", dynamics.CONJECTURE_NAMES)
+    def test_bound_exits_3_before_any_case(self, capsys, no_scan, name):
+        code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", "10")
+        assert code == 3 and out == "" and "n <= 9" in err
+
     def test_single_sigma(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "--name", "general-periodic",
                               "--n", "5", "--sigma", "1234")
@@ -160,6 +165,10 @@ class TestFiberCommands:
     def test_spectrum_without_target_lengths(self, capsys):
         code, out, err = invoke(capsys, "spectrum", "--pattern", "132", "--n-max", "0")
         assert code == 1 and out == "" and "--n-max must be >= 1" in err
+
+    def test_spectrum_bound_exits_3_before_any_tally(self, capsys, no_scan):
+        code, out, err = invoke(capsys, "spectrum", "--pattern", "132", "--n-max", "10")
+        assert code == 3 and out == "" and "n <= 9" in err
 
 
 class TestSortableCommands:
@@ -202,6 +211,11 @@ class TestSortableCommands:
                               "--bfile")
         assert code == 0
         assert out.splitlines() == ["0 1", "1 1", "2 2", "3 4", "4 9", "5 21"]
+
+    def test_bfile_bound_exit_code(self, capsys, no_scan):
+        code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "10",
+                                "--bfile")
+        assert code == 3 and out == "" and "n <= 9" in err
 
     @pytest.mark.parametrize("flag", ["--bfile", "--count-only"])
     def test_negative_n_exits_1(self, capsys, flag):

@@ -8,6 +8,7 @@ import pytest
 from conftest import avoiders_reference, every_machine_shape
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.dynamics import (
+    CONJECTURE_NAMES,
     ConjectureReport,
     cycle_periods,
     deep_witness,
@@ -334,6 +335,11 @@ class TestProbes:
         # that there is nothing to verify
         with pytest.raises(ValueError):
             run_conjecture(name, n)
+
+    @pytest.mark.parametrize("name", CONJECTURE_NAMES)
+    def test_run_conjecture_checks_the_bound_before_any_case(self, no_scan, name):
+        with pytest.raises(ResourceBoundError, match="run_conjecture requires n <= 9"):
+            run_conjecture(name, 10)
 
     @pytest.mark.parametrize("probe, n_max", [
         pytest.param(probe_fine_transform, -1, id="fine-transform"),

@@ -502,6 +502,19 @@ class TestPremature:
             early = premature_entries(SC231, p)
             assert p[0] not in early and p[-1] not in early
 
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_matches_pops_before_last_push_in_trace(self, spec):
+        # the reference route: the pops that trace records before the n-th push
+        for n in range(7):
+            for p in all_permutations(n):
+                early, pushes = [], 0
+                for step in trace(spec, p, record_stacks=False):
+                    if step.kind == "push":
+                        pushes += 1
+                    elif pushes < n:
+                        early.append(step.value)
+                assert premature_entries(spec, p) == early, p
+
     def test_structural_identity_231(self):
         # output = premature entries ++ reverse of the rest
         for n in range(9):

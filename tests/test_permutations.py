@@ -11,7 +11,7 @@ from conftest import (
     pattern_bodies,
     permutations_up_to,
 )
-from stacksorting.machine import consecutive_machine, trace
+from stacksorting.machine import consecutive_321_image, consecutive_machine, trace
 from stacksorting.permutations import (
     all_permutations,
     ascending_runs,
@@ -30,13 +30,10 @@ from stacksorting.permutations import (
     is_permutation,
     is_reverse_layered,
     is_vee_shaped,
-    left_to_right_minima,
     parse_permutation,
     pattern_avoiders,
     peak_valley_count,
     reverse,
-    run_ends,
-    run_interior,
     standardize,
     swap_first_two,
     vincular,
@@ -237,8 +234,8 @@ class TestRuns:
     def test_ends_and_interiors(self):
         runs = ascending_runs((4, 5, 7, 2, 1, 3, 6))
         assert runs == ((4, 5, 7), (2,), (1, 3, 6))
-        assert [run_ends(r) for r in runs] == [(4, 7), (2,), (1, 6)]
-        assert [run_interior(r) for r in runs] == [(5,), (), (3,)]
+        # interiors first, then the ends of the runs in reverse
+        assert consecutive_321_image((4, 5, 7, 2, 1, 3, 6)) == (5, 3, 6, 1, 2, 7, 4)
 
     def test_decreasing_gives_singletons(self):
         assert ascending_runs((4, 3, 2, 1)) == ((4,), (3,), (2,), (1,))
@@ -250,11 +247,6 @@ class TestRuns:
 
 
 class TestStatistics:
-    def test_left_to_right_minima(self):
-        assert left_to_right_minima((4, 5, 7, 2, 1, 6, 3)) == [4, 2, 1]
-        assert left_to_right_minima(identity(5)) == [1]
-        assert left_to_right_minima((4, 3, 2, 1)) == [4, 3, 2, 1]
-
     def test_peak_valley_count(self):
         assert peak_valley_count((7, 8, 6, 2, 3, 5, 1)) == 3
         assert peak_valley_count((1, 2, 3, 4)) == 0

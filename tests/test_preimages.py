@@ -204,6 +204,10 @@ class TestSpectrum:
         assert spectrum_gaps({1, 2, 3, 5}) == [4]
         assert spectrum_gaps(set()) == []
 
+    def test_bound_checked_before_any_tally(self, no_scan):
+        with pytest.raises(ResourceBoundError, match="fertility_spectrum requires n <= 9"):
+            fertility_spectrum(SC132, 10)
+
     def test_classic_map_misses_three(self):
         sizes = fertility_spectrum(classical_machine((2, 1)), 7)
         assert 3 not in sizes
