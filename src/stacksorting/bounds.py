@@ -1,9 +1,10 @@
 """Desk-scale resource bounds for exhaustive scans over S_n."""
 
-# Single pass over S_n (machine image tallies, counting scans).
+# Single pass over S_n (machine image tallies, fibers, counting scans).
 SCAN_BOUND = 9
 
-# Scans that pay a second factorial-ish factor (per-target fibers, closure tests).
+# The closure test (is_downward_closed), which checks every one-point deletion
+# of each member of length 1..max_n.
 PAIRWISE_BOUND = 8
 
 # Last index of a named integer sequence (``seq --upto``).  At 1000 every name

@@ -8,6 +8,7 @@ error, 2 golden-table mismatch, 3 desk-scale resource bound exceeded.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -16,7 +17,7 @@ import click
 
 from . import bounds, dynamics, golden, preimages, sequences, sortable
 from .bounds import ResourceBoundError
-from .machine import MachineSpec, machine_of, output_of_trace, trace as machine_trace
+from .machine import consecutive_machine, machine_of, output_of_trace, trace as machine_trace
 from .machine import run as run_machine
 from .permutations import (
     PatternSpec,
@@ -46,14 +47,6 @@ def _parse_mode(mode: str, body) -> PatternSpec:
     raise click.UsageError(
         f"mode must be consecutive, classical, or vincular:<positions>, got {mode!r}"
     )
-
-
-def _parse_machine(pattern: str, mode: str) -> MachineSpec:
-    try:
-        bodies = [parse_permutation(tok) for tok in pattern.split(",")]
-        return machine_of(_parse_mode(mode, b) for b in bodies)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from None
 
 
 def _parse_perm(text: str):
@@ -89,27 +82,36 @@ def cli():
     """Pattern-avoiding stack-sorting machines."""
 
 
-@cli.command("map")
-@pattern_option
-@mode_option
+def machine_command(name: str):
+    """Register a command on the machine of --pattern/--mode, passed as ``spec``."""
+    def register(body):
+        @functools.wraps(body)
+        def command(pattern: str, mode: str, **options):
+            try:
+                bodies = [parse_permutation(tok) for tok in pattern.split(",")]
+                spec = machine_of(_parse_mode(mode, b) for b in bodies)
+            except ValueError as e:
+                raise click.UsageError(str(e)) from None
+            return body(spec, **options)
+        return cli.command(name)(pattern_option(mode_option(command)))
+    return register
+
+
+@machine_command("map")
 @click.option("--input", "input_", required=True, help="permutation to map")
-def cmd_map(pattern, mode, input_):
+def cmd_map(spec, input_):
     """Send a permutation through the machine once."""
-    spec = _parse_machine(pattern, mode)
     perm = _parse_perm(input_)
     click.echo(format_permutation(run_machine(spec, perm)))
 
 
-@cli.command("trace")
-@pattern_option
-@mode_option
+@machine_command("trace")
 @click.option("--input", "input_", required=True)
 @click.option("--show-stack", is_flag=True, help="record the stack after each step")
 @click.option("--format", "fmt", default="json", show_default=True,
               type=click.Choice(["json", "plain"]))
-def cmd_trace(pattern, mode, input_, show_stack, fmt):
+def cmd_trace(spec, input_, show_stack, fmt):
     """Print the push/pop sequence of one run."""
-    spec = _parse_machine(pattern, mode)
     perm = _parse_perm(input_)
     steps = machine_trace(spec, perm, record_stacks=show_stack)
     if fmt == "plain":
@@ -131,13 +133,10 @@ def cmd_trace(pattern, mode, input_, show_stack, fmt):
     _echo_json(payload)
 
 
-@cli.command("orbit")
-@pattern_option
-@mode_option
+@machine_command("orbit")
 @click.option("--input", "input_", required=True)
-def cmd_orbit(pattern, mode, input_):
+def cmd_orbit(spec, input_):
     """Iterate the machine until the orbit repeats."""
-    spec = _parse_machine(pattern, mode)
     perm = _parse_perm(input_)
     report = dynamics.orbit(spec, perm)
     click.echo(f"preperiod {report.preperiod}")
@@ -146,15 +145,12 @@ def cmd_orbit(pattern, mode, input_):
         click.echo(format_permutation(p))
 
 
-@cli.command("periodic")
-@pattern_option
-@mode_option
+@machine_command("periodic")
 @click.option("--n", required=True, type=int)
 @click.option("--count-only", is_flag=True)
 @unsafe_option
-def cmd_periodic(pattern, mode, n, count_only, unsafe_n):
+def cmd_periodic(spec, n, count_only, unsafe_n):
     """List (or count) the periodic points of the machine on S_n."""
-    spec = _parse_machine(pattern, mode)
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     points = dynamics.periodic_points(spec, n, max_n=max_n)
     if count_only:
@@ -164,13 +160,10 @@ def cmd_periodic(pattern, mode, n, count_only, unsafe_n):
         click.echo(format_permutation(p))
 
 
-@cli.command("sd")
-@pattern_option
-@mode_option
+@machine_command("sd")
 @click.option("--input", "input_", required=True)
-def cmd_sd(pattern, mode, input_):
+def cmd_sd(spec, input_):
     """Iterations needed to reach a periodic point (the orbit preperiod)."""
-    spec = _parse_machine(pattern, mode)
     perm = _parse_perm(input_)
     click.echo(str(dynamics.orbit(spec, perm).preperiod))
 
@@ -197,15 +190,12 @@ def cmd_conjecture(name, n, sigma, unsafe_n):
     _echo_json(payload)
 
 
-@cli.command("fiber")
-@pattern_option
-@mode_option
+@machine_command("fiber")
 @click.option("--target", required=True)
 @click.option("--count-only", is_flag=True)
 @unsafe_option
-def cmd_fiber(pattern, mode, target, count_only, unsafe_n):
+def cmd_fiber(spec, target, count_only, unsafe_n):
     """All preimages of a target permutation under the machine."""
-    spec = _parse_machine(pattern, mode)
     tgt = _parse_perm(target)
     max_n = len(tgt) if unsafe_n else bounds.SCAN_BOUND
     report = preimages.fiber(spec, tgt, max_n=max_n)
@@ -215,17 +205,14 @@ def cmd_fiber(pattern, mode, target, count_only, unsafe_n):
             click.echo(format_permutation(p))
 
 
-@cli.command("max-fertility")
-@pattern_option
-@mode_option
+@machine_command("max-fertility")
 @click.option("--n", required=True, type=int)
 @jobs_option
 @unsafe_option
 @click.option("--format", "fmt", default="plain", show_default=True,
               type=click.Choice(["plain", "json"]))
-def cmd_max_fertility(pattern, mode, n, jobs, unsafe_n, fmt):
+def cmd_max_fertility(spec, n, jobs, unsafe_n, fmt):
     """Largest fiber size over S_n and the targets attaining it."""
-    spec = _parse_machine(pattern, mode)
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     value, argmax = preimages.max_fertility(spec, n, max_n=max_n, jobs=jobs)
     if fmt == "json":
@@ -242,14 +229,11 @@ def cmd_max_fertility(pattern, mode, n, jobs, unsafe_n, fmt):
         click.echo(format_permutation(p))
 
 
-@cli.command("spectrum")
-@pattern_option
-@mode_option
+@machine_command("spectrum")
 @click.option("--n-max", required=True, type=int)
 @unsafe_option
-def cmd_spectrum(pattern, mode, n_max, unsafe_n):
+def cmd_spectrum(spec, n_max, unsafe_n):
     """Fiber sizes achieved by targets of length up to n-max."""
-    spec = _parse_machine(pattern, mode)
     if n_max < 1:
         raise click.UsageError("--n-max must be >= 1 (no target length to check)")
     max_n = n_max if unsafe_n else bounds.SCAN_BOUND
@@ -259,18 +243,15 @@ def cmd_spectrum(pattern, mode, n_max, unsafe_n):
     click.echo("gaps " + (" ".join(str(v) for v in gaps) if gaps else "none"))
 
 
-@cli.command("sortable")
-@pattern_option
-@mode_option
+@machine_command("sortable")
 @click.option("--n", required=True, type=int)
 @click.option("--count-only", is_flag=True)
 @click.option("--list", "list_", is_flag=True, help="list the members")
 @click.option("--bfile", is_flag=True, help="print counts for 0..n as b-file lines")
 @jobs_option
 @unsafe_option
-def cmd_sortable(pattern, mode, n, count_only, list_, bfile, jobs, unsafe_n):
+def cmd_sortable(spec, n, count_only, list_, bfile, jobs, unsafe_n):
     """Count (or list) the permutations the machine sorts."""
-    spec = _parse_machine(pattern, mode)
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     if bfile:
         if n < 0:
@@ -311,7 +292,7 @@ def cmd_class_check(pattern, brute_n):
     verdict = sortable.classify_sortable_set(sigma)
     click.echo(verdict.value)
     if brute_n:
-        spec = machine_of([consecutive(sigma)])
+        spec = consecutive_machine(sigma)
         closed, pair = sortable.is_downward_closed(
             lambda p: sortable.is_sortable(spec, p), brute_n
         )
@@ -356,16 +337,6 @@ def cmd_seq(name, upto, bfile, fmt, unsafe_n):
         click.echo(", ".join(str(v) for v in table.values))
 
 
-def _sortable_row(key: str, n_max: int, jobs: int) -> list[int]:
-    spec = machine_of([consecutive(parse_permutation(key))])
-    return [sortable.count_sortable(spec, n, jobs=jobs) for n in range(n_max + 1)]
-
-
-def _fertility_row(key: str, n_max: int, jobs: int) -> list[int]:
-    spec = machine_of([consecutive(parse_permutation(key))])
-    return [preimages.max_fertility(spec, n, jobs=jobs)[0] for n in range(1, n_max + 1)]
-
-
 @cli.command("reproduce")
 @click.argument("table", type=click.Choice(["sortable", "max-fertility"]))
 @click.option("--n-max", default=9, show_default=True, type=int)
@@ -375,11 +346,13 @@ def cmd_reproduce(table, n_max, jobs):
     if table == "sortable":
         reference, oeis = golden.SORTABLE_COUNTS, golden.SORTABLE_OEIS
         first_n = golden.SORTABLE_N0
-        compute = _sortable_row
+        def value(spec, n):
+            return sortable.count_sortable(spec, n, jobs=jobs)
     else:
         reference, oeis = golden.MAX_FERTILITY, golden.MAX_FERTILITY_OEIS
         first_n = golden.MAX_FERTILITY_N0
-        compute = _fertility_row
+        def value(spec, n):
+            return preimages.max_fertility(spec, n, jobs=jobs)[0]
     last_n = first_n + len(next(iter(reference.values()))) - 1
     if not first_n <= n_max <= last_n:
         raise click.UsageError(f"--n-max must be in {first_n}..{last_n}, the table's columns")
@@ -388,7 +361,8 @@ def cmd_reproduce(table, n_max, jobs):
     click.echo(header + "   OEIS")
     mismatch = False
     for key in sorted(reference):
-        computed = compute(key, n_max, jobs)
+        spec = consecutive_machine(parse_permutation(key))
+        computed = [value(spec, n) for n in range(first_n, n_max + 1)]
         expected = list(reference[key][:width])
         row = f"{key:>7} | " + " ".join(f"{v:>6}" for v in computed)
         click.echo(row + f"   {oeis[key]}")
@@ -429,3 +403,7 @@ def main(argv=None) -> int:
 
 def script() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    script()

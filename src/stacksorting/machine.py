@@ -189,7 +189,8 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
     entry is one, run in a process pool of at most one worker per partition.
     ``reduce`` takes the partition's images, in ``scan`` order, and must
     pickle, like a module-level function or ``Counter``.  Results are yielded
-    as they arrive, so that the caller can fold each one in before the next.
+    in partition order, each once it and those before it are done, so that the
+    caller can fold each one in before the next.
     """
     if jobs > 1 and n >= 2:
         tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]

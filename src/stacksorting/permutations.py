@@ -513,18 +513,13 @@ def descent_prefix_counts(word: str) -> tuple[int, ...]:
 
 def ascent_slot_counts(word: str) -> tuple[int, ...]:
     """a(k) = number of A's after position k preceded by a D in that suffix."""
-    n = len(word)
-    out = []
-    for k in range(n + 1):
-        seen_d = False
-        c = 0
-        for ch in word[k:]:
-            if ch == "D":
-                seen_d = True
-            elif seen_d:
-                c += 1
-        out.append(c)
-    return tuple(out)
+    # right to left: a D at k precedes every A after it; an A at k adds none
+    out = [0]
+    ascents = 0
+    for ch in reversed(word):
+        out.append(ascents if ch == "D" else out[-1])
+        ascents += ch == "A"
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------

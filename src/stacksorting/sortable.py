@@ -17,6 +17,7 @@ from .machine import MachineSpec, run, scan, scan_reduce
 from .permutations import (
     Perm,
     all_permutations,
+    as_permutation,
     ascending_runs,
     classical,
     consecutive,
@@ -132,7 +133,7 @@ def structural_sortable_av132_rev(perm: Sequence[int], sigma: Sequence[int]) -> 
     Valid whenever swapping the first two entries of ``sigma`` yields a
     permutation containing 231; callers outside that gate get an error.
     """
-    sigma = tuple(sigma)
+    sigma = as_permutation(sigma)
     if len(sigma) < 3:
         raise ValueError("pattern must have length >= 3")
     if not contains(swap_first_two(sigma), classical((2, 3, 1))):
@@ -256,7 +257,7 @@ def classify_sortable_set(sigma: Sequence[int]) -> SortableSetKind:
     For length >= 3 the set is a class exactly when both the pattern and its
     first-two-swap contain 231, in which case it equals Av(132).
     """
-    sigma = tuple(sigma)
+    sigma = as_permutation(sigma)
     if len(sigma) < 2:
         raise ValueError("pattern must have length >= 2")
     if sigma == (1, 2):

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +368,54 @@ class TestTopLevel:
     def test_no_args_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
         assert code == 1 and "Usage" in err
+
+
+# the nine commands on one machine, each with its other arguments out of
+# bounds where it has a bound (alone, those exit 3)
+MACHINE_COMMANDS = {
+    "map": ["--input", "123"],
+    "trace": ["--input", "123"],
+    "orbit": ["--input", "123"],
+    "periodic": ["--n", "10"],
+    "sd": ["--input", "123"],
+    "fiber": ["--target", "1,2,3,4,5,6,7,8,9,10"],
+    "max-fertility": ["--n", "10"],
+    "spectrum": ["--n-max", "10"],
+    "sortable": ["--n", "10"],
+}
+
+
+class TestMachineCommand:
+    @pytest.mark.parametrize("command", MACHINE_COMMANDS)
+    @pytest.mark.parametrize("machine, message", [
+        (["--pattern", "1"], "length >= 2"),
+        (["--pattern", "231", "--mode", "sideways"], "mode must be"),
+    ])
+    def test_bad_machine_exits_1_first(self, capsys, no_scan, command, machine, message):
+        code, out, err = invoke(capsys, command, *machine, *MACHINE_COMMANDS[command])
+        assert code == 1 and out == "" and message in err
+
+    @pytest.mark.parametrize("command", ["periodic", "fiber", "max-fertility", "spectrum",
+                                         "sortable"])
+    def test_bound_alone_exits_3(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--pattern", "231", *MACHINE_COMMANDS[command])
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("command", MACHINE_COMMANDS)
+    def test_help_lists_the_machine_first(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--help")
+        options = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+        assert code == 0 and options[:2] == ["--pattern", "--mode"]
+        assert "--help" in options[2:]
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "stacksorting.cli", "map", "--pattern", "231",
+         "--input", "265413"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "653142\n")

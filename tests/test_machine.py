@@ -147,22 +147,26 @@ class TestEngineAgreement:
 
     def test_consecutive_locality(self):
         # deciding a push from the top k-1 entries agrees with rechecking the
-        # whole stack, at every step of every run
+        # whole stack, at every (stack, incoming entry) state of a run over
+        # S_1..S_8.  The state at an entry depends only on the prefix ending
+        # there, and every prefix of a permutation of [m], m <= 8, is a node
+        # of the prefix tree of S_8, so a walk of that tree checks each such
+        # state, once.
+        def walk(spec, pat, stack, rest):
+            for c in rest:
+                stack_c = list(stack)
+                while stack_c and _push_blocked_reference(spec, stack_c, c):
+                    # full-stack recheck of the would-be contents
+                    host = (c, *reversed(stack_c))
+                    assert contains(host, pat)
+                    stack_c.pop()
+                if stack_c:
+                    assert not contains((c, *reversed(stack_c)), pat)
+                stack_c.append(c)
+                walk(spec, pat, stack_c, [v for v in rest if v != c])
+
         for body in itertools.permutations((1, 2, 3)):
-            spec = consecutive_machine(body)
-            pat = consecutive(body)
-            for n in range(1, 9):
-                for p in all_permutations(n):
-                    stack = []
-                    for c in p:
-                        while stack and _push_blocked_reference(spec, stack, c):
-                            # full-stack recheck of the would-be contents
-                            host = (c, *reversed(stack))
-                            assert contains(host, pat)
-                            stack.pop()
-                        if stack:
-                            assert not contains((c, *reversed(stack)), pat)
-                        stack.append(c)
+            walk(consecutive_machine(body), consecutive(body), [], range(1, 9))
 
 
 # one machine per compiled runner variant

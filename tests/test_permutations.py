@@ -266,6 +266,16 @@ class TestDescentWords:
         assert descent_prefix_counts("AADDAADA") == (0, 0, 0, 1, 2, 2, 2, 3, 3)
         assert ascent_slot_counts("AADDAADA") == (3, 3, 3, 3, 1, 1, 1, 0, 0)
 
+    def test_ascent_slot_counts_by_definition(self):
+        # a(k): the A's of word[k:] with a D before them in word[k:]
+        for n in range(11):
+            for letters in itertools.product("AD", repeat=n):
+                word = "".join(letters)
+                assert ascent_slot_counts(word) == tuple(
+                    sum(word[i] == "A" and "D" in word[k:i] for i in range(k, n))
+                    for k in range(n + 1)
+                ), word
+
     def test_known_decoding(self):
         assert from_descent_word("AADDAADA") == (7, 8, 6, 3, 4, 5, 1, 2)
 

@@ -222,6 +222,11 @@ class TestStructuralAv132Rev:
         with pytest.raises(ValueError):
             structural_sortable_av132_rev((1, 2), (2, 1))
 
+    @pytest.mark.parametrize("sigma", [(1, 1, 2), (0, 2, 1)])
+    def test_non_permutation_pattern_rejected(self, sigma):
+        with pytest.raises(ValueError, match="not a permutation"):
+            structural_sortable_av132_rev((1, 2, 3), sigma)
+
     def test_321_case(self):
         for n in range(8):
             for p in all_permutations(n):
@@ -310,6 +315,11 @@ class TestClassCriterion:
     def test_length_bound(self):
         with pytest.raises(ValueError):
             classify_sortable_set((1,))
+
+    @pytest.mark.parametrize("sigma", [(1, 1, 2), (0, 2, 1)])
+    def test_non_permutation_pattern_rejected(self, sigma):
+        with pytest.raises(ValueError, match="not a permutation"):
+            classify_sortable_set(sigma)
 
     def test_closure_counterexamples(self):
         closed, pair = is_downward_closed(lambda p: is_sortable(CLASSIC, p), 5)
