@@ -72,8 +72,17 @@ mode_option = click.option(
 unsafe_option = click.option(
     "--unsafe-n", is_flag=True, help="lift the desk-scale bound for this call"
 )
+
+
+def _positive_jobs(ctx, param, value: int) -> int:
+    if value < 1:
+        raise click.BadParameter(f"must be >= 1, not {value}", ctx=ctx, param=param)
+    return value
+
+
 jobs_option = click.option(
-    "--jobs", default=1, show_default=True, help="partition-parallel workers"
+    "--jobs", default=1, show_default=True, callback=_positive_jobs,
+    help="partition-parallel workers",
 )
 
 

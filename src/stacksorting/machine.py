@@ -190,8 +190,15 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
     ``reduce`` takes the partition's images, in ``scan`` order, and must
     pickle, like a module-level function or ``Counter``.  Results are yielded
     in partition order, each once it and those before it are done, so that the
-    caller can fold each one in before the next.
+    caller can fold each one in before the next.  ``jobs < 1`` raises
+    ``ValueError`` at the call.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
+    return _partition_results(spec, n, reduce, jobs)
+
+
+def _partition_results(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
     if jobs > 1 and n >= 2:
         tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:

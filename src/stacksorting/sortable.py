@@ -2,12 +2,16 @@
 
 A permutation is sortable by a machine when the machine's output avoids 231
 classically, i.e. when a subsequent pass through the classic increasing stack
-yields the identity.
+yields the identity (Knuth, TAOCP Vol. 1, 2.2.1).  Those outputs are
+Catalan-many: ``count_sortable`` builds Av_n(231) once per call, C_n tuples
+(16,796 at n = 10, 208,012 at n = 12) against the n! images it scans, and
+counts the images that are members.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from operator import countOf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -51,22 +55,48 @@ def sortable_members(
 ) -> Iterator[Perm]:
     """The sortable permutations of [n], lazily, in lexicographic order.
 
-    The bound is checked at the call, not at the first ``next``.
+    The bound is checked at the call, not at the first ``next``.  Each image
+    is tested on its own with ``avoids_231`` rather than looked up in Av_n(231)
+    as ``count_sortable`` does, so that the first member costs no build of
+    C_n tuples (208,012 at n = 12).
     """
     bounds.check_scan_bound(n, max_n, "sortable_members")
     return itertools.compress(all_permutations(n), map(avoids_231, scan(spec, n)))
 
 
-def _count_sortable_images(images: Iterable[Perm]) -> int:
-    return countOf(map(avoids_231, images), True)
+def _avoiders_231(n: int) -> frozenset[Perm]:
+    """Av_n(231), built bottom-up over the lengths 0..n.
+
+    Each avoider of length m is alpha m beta, where alpha and beta avoid 231
+    and every entry of alpha is smaller than every entry of beta.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    levels: list[list[Perm]] = [[()]]
+    for m in range(1, n + 1):
+        level: list[Perm] = []
+        for i in range(m):
+            tails = [(m,) + tuple(v + i for v in beta) for beta in levels[m - 1 - i]]
+            level.extend(alpha + tail for alpha in levels[i] for tail in tails)
+        levels.append(level)
+    return frozenset(levels[n])
+
+
+def _count_members(members: frozenset[Perm], images: Iterable[Perm]) -> int:
+    return countOf(map(members.__contains__, images), True)
 
 
 def count_sortable(
     spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND, jobs: int = 1
 ) -> int:
-    """|{p in S_n : sortable}| by a full scan; partition-parallel when jobs > 1."""
+    """|{p in S_n : sortable}| by a full scan; partition-parallel when jobs > 1.
+
+    The scan's n! images are looked up in Av_n(231), built once for the call:
+    C_n tuples, 16,796 at n = 10 and 208,012 at n = 12.
+    """
     bounds.check_scan_bound(n, max_n, "count_sortable")
-    return sum(scan_reduce(spec, n, _count_sortable_images, jobs))
+    count = functools.partial(_count_members, _avoiders_231(n))
+    return sum(scan_reduce(spec, n, count, jobs))
 
 
 # ---------------------------------------------------------------------------

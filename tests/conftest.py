@@ -1,12 +1,13 @@
 import itertools
 import time
 from contextlib import contextmanager
+from operator import countOf
 
 import pytest
 from hypothesis import strategies as st
 
 from stacksorting import dynamics, preimages, sortable
-from stacksorting.machine import consecutive_machine, machine_of
+from stacksorting.machine import consecutive_machine, machine_of, scan
 from stacksorting.permutations import (
     all_permutations,
     classical,
@@ -68,6 +69,14 @@ def every_machine_shape():
                 specs.append(machine_of([pat]))
     specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
     return list(dict.fromkeys(specs))
+
+
+# --- reference sortable count ---------------------------------------------
+
+def count_sortable_reference(spec, n):
+    """The sortable count by ``avoids_231`` on every image of the scan, apart
+    from the Av_n(231) lookup behind ``count_sortable``."""
+    return countOf(map(sortable.avoids_231, scan(spec, n)), True)
 
 
 # --- reference containment -----------------------------------------------

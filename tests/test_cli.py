@@ -220,6 +220,11 @@ class TestSortableCommands:
                                 "--bfile")
         assert code == 3 and out == "" and "n <= 9" in err
 
+    def test_count_bound_exit_code(self, capsys):
+        code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "20",
+                                "--count-only")
+        assert code == 3 and out == "" and "n <= 9" in err
+
     @pytest.mark.parametrize("flag", ["--bfile", "--count-only"])
     def test_negative_n_exits_1(self, capsys, flag):
         code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "-1", flag)
@@ -407,6 +412,17 @@ class TestMachineCommand:
         options = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
         assert code == 0 and options[:2] == ["--pattern", "--mode"]
         assert "--help" in options[2:]
+
+
+@pytest.mark.parametrize("args", [
+    ("sortable", "--pattern", "231", "--n", "5"),
+    ("max-fertility", "--pattern", "231", "--n", "5"),
+    ("reproduce", "sortable", "--n-max", "5"),
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_is_usage_error(capsys, no_scan, args, jobs):
+    code, out, err = invoke(capsys, *args, "--jobs", jobs)
+    assert code == 1 and out == "" and "--jobs" in err
 
 
 def test_module_runs_as_a_script():

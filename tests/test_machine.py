@@ -20,6 +20,7 @@ from stacksorting.machine import (
     rank,
     run,
     scan,
+    scan_reduce,
     stack_sort,
     trace,
 )
@@ -234,6 +235,12 @@ class TestScan:
         spec = JOBS_MACHINES[name]
         assert count_sortable(spec, 7, jobs=2) == count_sortable(spec, 7, jobs=1)
         assert image_tally(spec, 7, jobs=2) == image_tally(spec, 7, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_non_positive_jobs_rejected(self, jobs):
+        # at the call, before any partition is reduced
+        with pytest.raises(ValueError):
+            scan_reduce(SC231, 5, len, jobs)
 
     def test_pool_has_at_most_one_worker_per_partition(self, monkeypatch):
         from stacksorting import machine

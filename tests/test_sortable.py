@@ -3,7 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import dyck_words
+from conftest import count_sortable_reference, dyck_words, every_machine_shape
+from stacksorting import sortable
+from stacksorting.bounds import ResourceBoundError
 from stacksorting.machine import (
     classical_machine,
     consecutive_machine,
@@ -38,6 +40,16 @@ from stacksorting.sortable import (
     to_dyck_path,
 )
 
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Make any build of the Av_n(231) behind ``count_sortable`` fail the test."""
+    def build(n):
+        raise AssertionError("built Av_n(231)")
+
+    monkeypatch.setattr(sortable, "_avoiders_231", build)
+
+
 SC231 = consecutive_machine((2, 3, 1))
 SC132 = consecutive_machine((1, 3, 2))
 SC123 = consecutive_machine((1, 2, 3))
@@ -61,6 +73,28 @@ class TestAvoids231:
             for n in range(9):
                 for image in scan(spec, n):
                     assert avoids_231(image) == (stack_sort(image) == identity(n))
+
+
+class TestAvoiders231:
+    """The Av_n(231) that ``count_sortable`` looks its images up in."""
+
+    def test_matches_the_stack_test(self):
+        for n in range(9):
+            assert sortable._avoiders_231(n) == frozenset(
+                filter(avoids_231, all_permutations(n)))
+
+    def test_matches_the_generating_tree(self):
+        pat = [classical((2, 3, 1))]
+        for n in range(10):
+            assert sortable._avoiders_231(n) == set(pattern_avoiders(n, pat))
+
+    def test_catalan_many(self):
+        for n in range(13):
+            assert len(sortable._avoiders_231(n)) == catalan(n)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            sortable._avoiders_231(-1)
 
 
 class TestIsSortable:
@@ -100,23 +134,35 @@ class TestCounts:
             assert count_sortable(s132, n) == expected
 
     def test_resource_bound(self):
-        from stacksorting.bounds import ResourceBoundError
-
         with pytest.raises(ResourceBoundError):
             count_sortable(SC132, 10)
+
+    def test_bound_checked_before_the_build(self, no_build):
+        with pytest.raises(ResourceBoundError):
+            count_sortable(SC231, 20)
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_matches_reference_fold(self, spec):
+        for n in range(7):
+            assert count_sortable(spec, n) == count_sortable_reference(spec, n)
+
+    @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))), ids=str)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_length3_matches_reference_fold_at_8(self, body, jobs):
+        spec = consecutive_machine(body)
+        assert count_sortable(spec, 8, jobs=jobs) == count_sortable_reference(spec, 8)
 
     def test_jobs_partition_agrees(self):
         assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
 
     def test_members_resource_bound_is_eager(self):
-        from stacksorting.bounds import ResourceBoundError
-
         # raised by the call itself, before any member is asked for
         with pytest.raises(ResourceBoundError):
             sortable_members(SC231, 12)
 
-    def test_members_bound_lifted(self):
-        # the identity comes first and is sortable: every entry is pushed
+    def test_members_bound_lifted(self, no_build):
+        # the identity comes first and is sortable: every entry is pushed;
+        # the lazy test reaches it without building Av_12(231)
         assert next(sortable_members(SC231, 12, max_n=12)) == identity(12)
 
 
