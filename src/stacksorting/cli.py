@@ -22,6 +22,7 @@ from .machine import run as run_machine
 from .permutations import (
     PatternSpec,
     classical,
+    complement,
     consecutive,
     format_permutation,
     parse_permutation,
@@ -355,13 +356,19 @@ def cmd_reproduce(table, n_max, jobs):
     if table == "sortable":
         reference, oeis = golden.SORTABLE_COUNTS, golden.SORTABLE_OEIS
         first_n = golden.SORTABLE_N0
-        def value(spec, n):
-            return sortable.count_sortable(spec, n, jobs=jobs)
+        def rows(body):
+            # one scan per n gives the row of the pattern and of its complement
+            pairs = [sortable.count_sortable_pair(consecutive_machine(body), n, jobs=jobs)
+                     for n in range(first_n, n_max + 1)]
+            return {format_permutation(body): [a for a, _ in pairs],
+                    format_permutation(complement(body)): [b for _, b in pairs]}
     else:
         reference, oeis = golden.MAX_FERTILITY, golden.MAX_FERTILITY_OEIS
         first_n = golden.MAX_FERTILITY_N0
-        def value(spec, n):
-            return preimages.max_fertility(spec, n, jobs=jobs)[0]
+        def rows(body):
+            spec = consecutive_machine(body)
+            return {format_permutation(body): [preimages.max_fertility(spec, n, jobs=jobs)[0]
+                                               for n in range(first_n, n_max + 1)]}
     last_n = first_n + len(next(iter(reference.values()))) - 1
     if not first_n <= n_max <= last_n:
         raise click.UsageError(f"--n-max must be in {first_n}..{last_n}, the table's columns")
@@ -369,9 +376,11 @@ def cmd_reproduce(table, n_max, jobs):
     header = "pattern | " + " ".join(f"{n:>6}" for n in range(first_n, n_max + 1))
     click.echo(header + "   OEIS")
     mismatch = False
+    computed_rows: dict[str, list[int]] = {}
     for key in sorted(reference):
-        spec = consecutive_machine(parse_permutation(key))
-        computed = [value(spec, n) for n in range(first_n, n_max + 1)]
+        if key not in computed_rows:
+            computed_rows.update(rows(parse_permutation(key)))
+        computed = computed_rows[key]
         expected = list(reference[key][:width])
         row = f"{key:>7} | " + " ".join(f"{v:>6}" for v in computed)
         click.echo(row + f"   {oeis[key]}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from . import bounds, preimages, sequences, sortable
@@ -25,6 +26,7 @@ from .machine import (
 from .permutations import (
     Perm,
     all_permutations,
+    complement,
     consecutive,
     format_permutation,
     is_vee_shaped,
@@ -243,8 +245,17 @@ def _orbit_report(
 
 
 def _unrank(n: int, r: int) -> Perm:
-    """The permutation of rank r in the lexicographic order of S_n."""
-    return next(itertools.islice(all_permutations(n), r, None))
+    """The permutation of rank r in the lexicographic order of S_n, read off
+    the factorial-base digits of r (its Lehmer code): the i-th digit picks
+    the entry among the values still unused."""
+    if not 0 <= r < factorial(n):
+        raise ValueError(f"rank must lie in 0..{factorial(n) - 1}, not {r}")
+    unused = list(range(1, n + 1))
+    out = []
+    for i in range(n - 1, -1, -1):
+        digit, r = divmod(r, factorial(i))
+        out.append(unused.pop(digit))
+    return tuple(out)
 
 
 def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -353,11 +364,19 @@ def probe_fertility_spectrum(
         raise ValueError("n_max must be >= 2, where a previous bound first has fibers")
     per_pattern = {}
     witnesses = []
+    # fiber sizes up to the previous bound and up to n_max, by the smaller
+    # pattern of each complement pair: SC_{sigma^c}(pi^c) = SC_sigma(pi)^c, so
+    # both machines have the same fiber sizes
+    spectra: dict[Perm, tuple[set[int], set[int]]] = {}
     for sigma in itertools.permutations((1, 2, 3)):
-        spec = consecutive_machine(sigma)
-        # fiber sizes up to the previous bound, then at n_max: each S_n tallied once
-        previous = preimages.fertility_spectrum(spec, n_max - 1, max_n=max_n)
-        sizes = previous | set(preimages.image_tally(spec, n_max, max_n=max_n).values())
+        pair = min(sigma, complement(sigma))
+        if pair not in spectra:
+            spec = consecutive_machine(pair)
+            # each S_n tallied once
+            previous = preimages.fertility_spectrum(spec, n_max - 1, max_n=max_n)
+            spectra[pair] = previous, previous | set(
+                preimages.image_tally(spec, n_max, max_n=max_n).values())
+        previous, sizes = spectra[pair]
         gaps = preimages.spectrum_gaps(sizes)
         previous_max = max(previous)
         per_pattern[format_permutation(sigma)] = {

@@ -30,6 +30,11 @@ SORTABLE_N0 = 0  # first column of the sortable table
 
 # Largest fiber size over S_n, n = 1..9, one row per complement-pair
 # representative (the 321/312/213 rows follow by complementation).
+# Complementing every value conjugates the machines, SC_{sigma^c}(pi^c) =
+# SC_sigma(pi)^c, so a pair has the same fiber sizes.  The sortable counts of a
+# pair differ (sortable means the image avoids 231, not 213), so the table
+# above keeps all six rows; ``reproduce sortable`` gets both rows of a pair
+# from one scan per n.
 MAX_FERTILITY: dict[str, tuple[int, ...]] = {
     "123": (1, 1, 2, 3, 4, 7, 11, 16, 26),
     "132": (1, 1, 2, 3, 6, 10, 20, 35, 70),

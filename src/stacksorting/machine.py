@@ -188,10 +188,11 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
     Serially the whole scan is one partition; with ``jobs > 1`` each first
     entry is one, run in a process pool of at most one worker per partition.
     ``reduce`` takes the partition's images, in ``scan`` order, and must
-    pickle, like a module-level function or ``Counter``.  Results are yielded
-    in partition order, each once it and those before it are done, so that the
-    caller can fold each one in before the next.  ``jobs < 1`` raises
-    ``ValueError`` at the call.
+    pickle, like a module-level function or ``Counter``; it goes to each
+    worker once, as the worker starts, and each task names only its first
+    entry.  Results are yielded in partition order, each once it and those
+    before it are done, so that the caller can fold each one in before the
+    next.  ``jobs < 1`` raises ``ValueError`` at the call.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
@@ -200,16 +201,26 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
 
 def _partition_results(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
     if jobs > 1 and n >= 2:
-        tasks = [(reduce, spec, n, (first,)) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        tasks = [(spec, n, (first,)) for first in range(1, n + 1)]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=(reduce,)
+        ) as pool:
             yield from pool.map(_reduce_partition, tasks)
     else:
-        yield _reduce_partition((reduce, spec, n, ()))
+        yield reduce(scan(spec, n))
+
+
+_worker_reduce: Callable | None = None  # a pool worker's reducer, set as it starts
+
+
+def _set_worker_reduce(reduce: Callable) -> None:
+    global _worker_reduce
+    _worker_reduce = reduce
 
 
 def _reduce_partition(task) -> object:
-    reduce, spec, n, prefix = task
-    return reduce(scan(spec, n, prefix))
+    spec, n, prefix = task
+    return _worker_reduce(scan(spec, n, prefix))
 
 
 # ---------------------------------------------------------------------------

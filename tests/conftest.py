@@ -7,10 +7,12 @@ import pytest
 from hypothesis import strategies as st
 
 from stacksorting import dynamics, preimages, sortable
-from stacksorting.machine import consecutive_machine, machine_of, scan
+from stacksorting.machine import MachineSpec, consecutive_machine, machine_of, scan
 from stacksorting.permutations import (
+    PatternSpec,
     all_permutations,
     classical,
+    complement,
     consecutive,
     occurs_with_first_entry,
     vincular,
@@ -52,6 +54,7 @@ def no_scan(monkeypatch):
 
     monkeypatch.setattr(dynamics, "image_map", scan)
     monkeypatch.setattr(sortable, "count_sortable", scan)
+    monkeypatch.setattr(sortable, "count_sortable_pair", scan)
     monkeypatch.setattr(preimages, "image_tally", scan)
 
 
@@ -69,6 +72,11 @@ def every_machine_shape():
                 specs.append(machine_of([pat]))
     specs.append(consecutive_machine((1, 2, 3), (3, 2, 1)))
     return list(dict.fromkeys(specs))
+
+
+def complement_machine(spec):
+    """The machine with each forbidden body complemented, adjacency unchanged."""
+    return MachineSpec(tuple(PatternSpec(complement(p.body), p.adjacency) for p in spec.forbidden))
 
 
 # --- reference sortable count ---------------------------------------------

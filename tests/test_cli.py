@@ -339,10 +339,29 @@ class TestReproduce:
         assert "truncated at n=5" in out
 
     def test_jobs_matches(self, capsys):
-        _, out1, _ = invoke(capsys, "reproduce", "max-fertility", "--n-max", "5")
-        _, out2, _ = invoke(capsys, "reproduce", "max-fertility", "--n-max", "5",
-                            "--jobs", "2")
-        assert out1 == out2
+        for table in ("sortable", "max-fertility"):
+            _, out1, _ = invoke(capsys, "reproduce", table, "--n-max", "5")
+            _, out2, _ = invoke(capsys, "reproduce", table, "--n-max", "5", "--jobs", "2")
+            assert out1 == out2
+
+    def test_sortable_table_bytes(self, capsys):
+        # each row and its complement's come from one scan per n; the table
+        # prints as it did with one scan per row
+        code, out, err = invoke(capsys, "reproduce", "sortable", "--n-max", "7")
+        assert (code, err) == (0, "")
+        assert out == (
+            "pattern |      0      1      2      3      4      5      6      7   OEIS\n"
+            "    123 |      1      1      2      5     12     30     76    196"
+            "   A002026 (also cited as A002006)\n"
+            "    132 |      1      1      2      5     14     42    132    429   A000108\n"
+            "    213 |      1      1      2      5     15     50    180    686   -\n"
+            "    231 |      1      1      2      6     21     79    311   1265"
+            "   - (conjecturally A033321)\n"
+            "    312 |      1      1      2      5     15     50    179    675   -\n"
+            "    321 |      1      1      2      4      9     21     51    127   A001006\n"
+            "(truncated at n=7; reference extends to n=9)\n"
+            "all rows match\n"
+        )
 
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         doctored = dict(golden.MAX_FERTILITY)

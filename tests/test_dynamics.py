@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from stacksorting.bounds import ResourceBoundError
 from stacksorting.dynamics import (
     CONJECTURE_NAMES,
     ConjectureReport,
+    _unrank,
     cycle_periods,
     deep_witness,
     iterations_until,
@@ -26,7 +28,7 @@ from stacksorting.dynamics import (
     vee_limit,
     verify_witness_trajectory,
 )
-from stacksorting.machine import classical_machine, consecutive_machine, run
+from stacksorting.machine import _ranker, classical_machine, consecutive_machine, rank, run
 from stacksorting.permutations import (
     all_permutations,
     consecutive,
@@ -316,11 +318,31 @@ class TestProbes:
 
         monkeypatch.setattr(preimages, "image_tally", counted)
         r = probe_fertility_spectrum(n_max)
-        # each length-3 machine at n = 1..n_max, and the classic stack up to 7
-        assert len(calls) == len(set(calls)) == 6 * n_max + min(n_max, 7)
+        # one machine of each complement pair of length-3 machines at
+        # n = 1..n_max, and the classic stack up to 7
+        assert len(calls) == len(set(calls)) == 3 * n_max + min(n_max, 7)
         assert {
             key: row["previous_bound_max"] for key, row in r.details["per_pattern"].items()
         } == expected
+
+    @pytest.mark.parametrize("n_max", range(2, 7))
+    def test_fertility_spectrum_matches_each_machine_tallied(self, n_max):
+        # the probe tallies one machine per complement pair; tally all six here
+        from stacksorting import preimages
+
+        per = probe_fertility_spectrum(n_max).details["per_pattern"]
+        for sigma in itertools.permutations((1, 2, 3)):
+            spec = consecutive_machine(sigma)
+            previous = preimages.fertility_spectrum(spec, n_max - 1)
+            sizes = previous | set(preimages.image_tally(spec, n_max).values())
+            gaps = preimages.spectrum_gaps(sizes)
+            assert per[format_permutation(sigma)] == {
+                "max": max(sizes),
+                "contiguous_to": gaps[0] - 1 if gaps else max(sizes),
+                "previous_bound_max": max(previous),
+                "first_gap": gaps[0] if gaps else None,
+                "gaps": gaps,
+            }
 
     @pytest.mark.parametrize("name, n", [
         pytest.param("2n-4", 2, id="2n-4"),
@@ -377,6 +399,23 @@ class TestProbes:
         r = run_conjecture("general-periodic", 5, sigma=(1, 2, 3, 4))
         assert r.holds
         assert all(c["pattern"] == "1234" for c in r.details["cases"])
+
+
+class TestUnrank:
+    def test_matches_the_enumeration(self):
+        for n in range(8):
+            assert [_unrank(n, r) for r in range(factorial(n))] == list(all_permutations(n))
+
+    def test_round_trips_with_rank_at_10(self):
+        ranker = _ranker(10)  # what ``rank`` builds on each call
+        for r in itertools.chain(range(0, factorial(10), 997), [factorial(10) - 1]):
+            assert ranker(_unrank(10, r)) == r
+        assert rank(_unrank(10, 1234567)) == 1234567
+
+    @pytest.mark.parametrize("n, r", [(3, -1), (3, 6), (0, 1)])
+    def test_out_of_range_rejected(self, n, r):
+        with pytest.raises(ValueError):
+            _unrank(n, r)
 
 
 class TestClassicalDynamics:

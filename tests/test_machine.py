@@ -1,10 +1,17 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contains_reference, every_machine_shape, pattern_bodies, permutations_up_to
+from conftest import (
+    complement_machine,
+    contains_reference,
+    every_machine_shape,
+    pattern_bodies,
+    permutations_up_to,
+)
 from stacksorting.machine import (
     MachineSpec,
     _compiled_runner,
@@ -242,27 +249,44 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_reduce(SC231, 5, len, jobs)
 
-    def test_pool_has_at_most_one_worker_per_partition(self, monkeypatch):
-        from stacksorting import machine
-
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(machine, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_at_most_one_worker_per_partition(self, recording_pool):
         assert count_sortable(SC231, 5, jobs=64) == count_sortable(SC231, 5)
-        assert asked == [5]
+        assert recording_pool["max_workers"] == [5]
+
+    def test_reducer_goes_to_each_worker_once(self, recording_pool):
+        # the tasks name only the partition; the reducer rides in initargs
+        parts = list(scan_reduce(SC231, 4, Counter, jobs=2))
+        assert recording_pool["initargs"] == [(Counter,)]
+        assert recording_pool["tasks"] == [[(SC231, 4, (first,)) for first in range(1, 5)]]
+        assert sum(parts, Counter()) == image_tally(SC231, 4)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Run the partition pool in this process, recording how it was set up."""
+    from stacksorting import machine
+
+    seen = {"max_workers": [], "initargs": [], "tasks": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen["max_workers"].append(max_workers)
+            seen["initargs"].append(initargs)
+            initializer(*initargs)  # as each worker does when it starts
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            seen["tasks"].append(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(machine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(machine, "_worker_reduce", None)
+    return seen
 
 
 def _ranks(n):
@@ -433,15 +457,13 @@ class TestIdentities:
                 assert run(s21, p) == out
 
     def test_complement_conjugacy_small(self):
-        # comp . machine . comp equals the complemented machine, both modes
-        bodies = [b for k in (2, 3, 4) for b in itertools.permutations(range(1, k + 1))]
-        for body in bodies:
-            comp_body = complement(body)
-            for maker in (consecutive_machine, classical_machine):
-                spec, cspec = maker(body), maker(comp_body)
-                for n in range(7):
-                    for p in all_permutations(n):
-                        assert run(cspec, p) == complement(run(spec, complement(p)))
+        # comp . machine . comp equals the complemented machine, in every mode
+        # and for a pair of patterns: the symmetry count_sortable_pair rests on
+        for spec in every_machine_shape():
+            cspec = complement_machine(spec)
+            for n in range(7):
+                for p in all_permutations(n):
+                    assert run(cspec, p) == complement(run(spec, complement(p)))
 
     def test_complement_conjugacy_consecutive_short_n8(self):
         bodies = list(itertools.permutations((1, 2))) + list(

@@ -3,7 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import count_sortable_reference, dyck_words, every_machine_shape
+from conftest import (
+    complement_machine,
+    count_sortable_reference,
+    dyck_words,
+    every_machine_shape,
+)
 from stacksorting import sortable
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.machine import (
@@ -28,6 +33,7 @@ from stacksorting.sortable import (
     avoids_231,
     classify_sortable_set,
     count_sortable,
+    count_sortable_pair,
     from_dyck_path,
     is_downward_closed,
     is_dyck_word,
@@ -151,6 +157,21 @@ class TestCounts:
     def test_length3_matches_reference_fold_at_8(self, body, jobs):
         spec = consecutive_machine(body)
         assert count_sortable(spec, 8, jobs=jobs) == count_sortable_reference(spec, 8)
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_pair_matches_reference_folds(self, spec):
+        mirror = complement_machine(spec)
+        for n in range(7):
+            assert count_sortable_pair(spec, n) == (
+                count_sortable_reference(spec, n), count_sortable_reference(mirror, n))
+
+    @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))), ids=str)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_length3_pair_matches_reference_folds_at_8(self, body, jobs):
+        spec = consecutive_machine(body)
+        assert count_sortable_pair(spec, 8, jobs=jobs) == (
+            count_sortable_reference(spec, 8),
+            count_sortable_reference(complement_machine(spec), 8))
 
     def test_jobs_partition_agrees(self):
         assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
