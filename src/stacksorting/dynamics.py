@@ -374,8 +374,7 @@ def probe_fertility_spectrum(
             spec = consecutive_machine(pair)
             # each S_n tallied once
             previous = preimages.fertility_spectrum(spec, n_max - 1, max_n=max_n)
-            spectra[pair] = previous, previous | set(
-                preimages.image_tally(spec, n_max, max_n=max_n).values())
+            spectra[pair] = previous, previous | preimages.fiber_sizes(spec, n_max, max_n=max_n)
         previous, sizes = spectra[pair]
         gaps = preimages.spectrum_gaps(sizes)
         previous_max = max(previous)

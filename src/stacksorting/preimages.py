@@ -3,15 +3,24 @@
 Whole-fiber questions go through a single forward pass tallying the image of
 S_n rather than inverting per target.  The scan yields images only; a
 preimage is read back as the permutation at the same lexicographic position.
+
+When every forbidden pattern has length >= 3, no image leaves its first-entry
+partition: a blocked push needs the incoming entry and at least two stack
+entries, so the bottom entry pi_1 is never popped before the drain and ends
+SC(pi).  Max fertility and spectra therefore fold the tally of one
+``scan(spec, n, (first,))`` partition at a time and never hold the tally of
+S_n.  A length-2 pattern can pop the bottom entry (every image under classical
+21 ends in n), so those machines fold the tally of all of S_n at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds
 from .machine import MachineSpec, consecutive_machine, scan, scan_reduce
@@ -56,14 +65,51 @@ def image_tally(
     return tally
 
 
+def _fiber_folds(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
+    """``reduce`` of the image tally of each part of S_n that holds whole
+    fibers: each first-entry partition when every forbidden pattern has length
+    >= 3 and n >= 2 (see the module docstring), else all of S_n.  The caller
+    checks the scan bound."""
+    if n < 2 or min(len(p.body) for p in spec.forbidden) < 3:
+        yield reduce(image_tally(spec, n, max_n=n, jobs=jobs))
+    elif jobs == 1:
+        for first in range(1, n + 1):
+            yield reduce(Counter(scan(spec, n, (first,))))
+    else:
+        yield from scan_reduce(spec, n, partial(_reduce_tally, reduce), jobs)
+
+
+def _reduce_tally(reduce: Callable, images: Iterable[Perm]) -> object:
+    return reduce(Counter(images))
+
+
+def _peak(tally: Counter) -> tuple[int, list[Perm]]:
+    best = max(tally.values())
+    return best, [p for p, c in tally.items() if c == best]
+
+
+def _sizes(tally: Counter) -> set[int]:
+    return set(tally.values())
+
+
 def max_fertility(
     spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND, jobs: int = 1
 ) -> tuple[int, tuple[Perm, ...]]:
     """Largest fiber size over S_n and every target attaining it."""
-    tally = image_tally(spec, n, max_n=max_n, jobs=jobs)
-    best = max(tally.values())
-    argmax = tuple(sorted(p for p, c in tally.items() if c == best))
-    return best, argmax
+    bounds.check_scan_bound(n, max_n, "max_fertility")
+    best, argmax = 0, []
+    for top, targets in _fiber_folds(spec, n, _peak, jobs):
+        if top > best:
+            best, argmax = top, targets
+        elif top == best:
+            argmax += targets
+    return best, tuple(sorted(argmax))
+
+
+def fiber_sizes(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -> set[int]:
+    """Every fiber size achieved by some target of length n."""
+    bounds.check_scan_bound(n, max_n, "fiber_sizes")
+    return set().union(*_fiber_folds(spec, n, _sizes, 1))
 
 
 def fertility_spectrum(
@@ -71,10 +117,7 @@ def fertility_spectrum(
 ) -> set[int]:
     """Every fiber size achieved by some target of length <= n_max."""
     bounds.check_scan_bound(n_max, max_n, "fertility_spectrum")
-    sizes: set[int] = set()
-    for n in range(1, n_max + 1):
-        sizes.update(image_tally(spec, n, max_n=max_n).values())
-    return sizes
+    return set().union(*(fiber_sizes(spec, n, max_n=max_n) for n in range(1, n_max + 1)))
 
 
 def spectrum_gaps(sizes: Iterable[int]) -> list[int]:

@@ -56,6 +56,7 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(sortable, "count_sortable", scan)
     monkeypatch.setattr(sortable, "count_sortable_pair", scan)
     monkeypatch.setattr(preimages, "image_tally", scan)
+    monkeypatch.setattr(preimages, "_fiber_folds", scan)
 
 
 # --- shared machines -------------------------------------------------------
@@ -85,6 +86,22 @@ def count_sortable_reference(spec, n):
     """The sortable count by ``avoids_231`` on every image of the scan, apart
     from the Av_n(231) lookup behind ``count_sortable``."""
     return countOf(map(sortable.avoids_231, scan(spec, n)), True)
+
+
+# --- reference fiber folds -------------------------------------------------
+
+def max_fertility_reference(spec, n):
+    """The largest fiber size over S_n and its sorted targets, from the tally
+    of all of S_n, apart from the first-entry folds behind ``max_fertility``."""
+    tally = preimages.image_tally(spec, n, max_n=n)
+    best = max(tally.values())
+    return best, tuple(sorted(p for p, c in tally.items() if c == best))
+
+
+def fertility_spectrum_reference(spec, n_max):
+    """Every fiber size up to length n_max, from the tally of each whole S_n."""
+    return {c for n in range(1, n_max + 1)
+            for c in preimages.image_tally(spec, n, max_n=n).values()}
 
 
 # --- reference containment -----------------------------------------------

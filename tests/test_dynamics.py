@@ -310,17 +310,28 @@ class TestProbes:
                 preimages.fertility_spectrum(spec, n_max - 1)
             )
         calls = []
+        folds = preimages._fiber_folds
+
+        def counted(spec, n, *args):
+            calls.append((spec, n))
+            return folds(spec, n, *args)
+
+        monkeypatch.setattr(preimages, "_fiber_folds", counted)
+        tallied = []
         tally = preimages.image_tally
 
-        def counted(spec, n, **kwargs):
-            calls.append((spec, n))
+        def counted_tally(spec, n, **kwargs):
+            tallied.append((spec, n))
             return tally(spec, n, **kwargs)
 
-        monkeypatch.setattr(preimages, "image_tally", counted)
+        monkeypatch.setattr(preimages, "image_tally", counted_tally)
         r = probe_fertility_spectrum(n_max)
         # one machine of each complement pair of length-3 machines at
         # n = 1..n_max, and the classic stack up to 7
         assert len(calls) == len(set(calls)) == 3 * n_max + min(n_max, 7)
+        # the length-3 machines fold each first entry on its own from n = 2
+        classic = classical_machine((2, 1))
+        assert tallied and all(spec == classic or n < 2 for spec, n in tallied)
         assert {
             key: row["previous_bound_max"] for key, row in r.details["per_pattern"].items()
         } == expected

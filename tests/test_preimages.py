@@ -3,12 +3,18 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import (
+    every_machine_shape,
+    fertility_spectrum_reference,
+    max_fertility_reference,
+)
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.machine import (
     classical_machine,
     consecutive_machine,
     premature_entries,
     run,
+    scan,
 )
 from stacksorting.permutations import (
     all_permutations,
@@ -23,6 +29,7 @@ from stacksorting.preimages import (
     eligible_swap_indices,
     fertility_spectrum,
     fiber,
+    fiber_sizes,
     image_tally,
     max_fertility,
     reverse_layered_fiber_size,
@@ -140,6 +147,52 @@ class TestMaxFertility:
     def test_bound(self):
         with pytest.raises(ResourceBoundError):
             max_fertility(SC132, 11)
+
+    def test_bound_names_max_fertility(self, no_scan):
+        with pytest.raises(ResourceBoundError, match="max_fertility requires n <= 9"):
+            max_fertility(SC132, 10, jobs=2)
+
+
+def _ends_with_first_entry(spec, n):
+    return all(image[-1] == perm[0] for perm, image in zip(all_permutations(n), scan(spec, n)))
+
+
+class TestFiberFolds:
+    """Fibers fold per first-entry partition when every pattern has length >= 3."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in every_machine_shape() if min(len(p.body) for p in s.forbidden) >= 3],
+        ids=str,
+    )
+    def test_image_ends_with_first_entry(self, spec):
+        for n in range(1, 8):
+            assert _ends_with_first_entry(spec, n)
+
+    def test_length2_images_leave_their_partition(self):
+        # a length-2 pattern pops the bottom entry: under 21 every image ends
+        # in n, under 12 in 1, so the fibers cross first-entry partitions
+        specs = [s for s in every_machine_shape() if len(s.forbidden[0].body) == 2]
+        assert len(specs) == 4  # 12 and 21, consecutive and classical
+        for spec in specs:
+            for n in range(2, 8):
+                last = n if spec.forbidden[0].body == (2, 1) else 1
+                assert {image[-1] for image in scan(spec, n)} == {last}
+                assert not _ends_with_first_entry(spec, n)
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_matches_reference_tally(self, spec):
+        for n in range(7):
+            assert max_fertility(spec, n) == max_fertility_reference(spec, n)
+            assert fiber_sizes(spec, n) == set(image_tally(spec, n).values())
+        assert fertility_spectrum(spec, 6) == fertility_spectrum_reference(spec, 6)
+
+    @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))), ids=str)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_length3_matches_reference_tally_at_8(self, body, jobs):
+        spec = consecutive_machine(body)
+        assert max_fertility(spec, 8, jobs=jobs) == max_fertility_reference(spec, 8)
+        assert fiber_sizes(spec, 8) == set(image_tally(spec, 8).values())
 
 
 class TestDecreasingPreimage:
