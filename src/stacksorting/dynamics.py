@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from . import bounds, preimages, sequences, sortable
@@ -18,6 +17,7 @@ from .machine import (
     MachineSpec,
     _compiled_runner,
     _ranker,
+    _unrank,
     classical_machine,
     consecutive_machine,
     image_map,
@@ -242,20 +242,6 @@ def _orbit_report(
         if r is not None
     )
     return ConjectureReport(name, n, violation is None, witnesses, details)
-
-
-def _unrank(n: int, r: int) -> Perm:
-    """The permutation of rank r in the lexicographic order of S_n, read off
-    the factorial-base digits of r (its Lehmer code): the i-th digit picks
-    the entry among the values still unused."""
-    if not 0 <= r < factorial(n):
-        raise ValueError(f"rank must lie in 0..{factorial(n) - 1}, not {r}")
-    unused = list(range(1, n + 1))
-    out = []
-    for i in range(n - 1, -1, -1):
-        digit, r = divmod(r, factorial(i))
-        out.append(unused.pop(digit))
-    return tuple(out)
 
 
 def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:

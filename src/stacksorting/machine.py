@@ -168,8 +168,26 @@ def _ranker(n: int) -> Callable[[Perm], int]:
 
 
 def rank(perm: Sequence[int]) -> int:
-    """Position of a permutation of [n] in the lexicographic order of S_n."""
-    return _ranker(len(perm))(as_permutation(perm))
+    """Position of a permutation of [n] in the lexicographic order of S_n: its
+    Lehmer code (each entry's count of smaller later entries) in factorial base."""
+    perm = as_permutation(perm)
+    r = 0
+    for i, v in enumerate(perm):
+        r = r * (len(perm) - i) + sum(w < v for w in perm[i + 1:])
+    return r
+
+
+def _unrank(n: int, r: int) -> Perm:
+    """The permutation of rank r in the lexicographic order of S_n: the i-th
+    factorial-base digit of r (its Lehmer code) picks entry i among the unused values."""
+    if not 0 <= r < factorial(n):
+        raise ValueError(f"rank must lie in 0..{factorial(n) - 1}, not {r}")
+    unused = list(range(1, n + 1))
+    out = []
+    for i in range(n - 1, -1, -1):
+        digit, r = divmod(r, factorial(i))
+        out.append(unused.pop(digit))
+    return tuple(out)
 
 
 def image_map(spec: MachineSpec, n: int) -> array:
@@ -183,16 +201,15 @@ def image_map(spec: MachineSpec, n: int) -> array:
 
 
 def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> Iterator:
-    """``reduce`` applied to the scan of S_n, one result per partition.
+    """``reduce`` of each first-entry partition of S_n, ``scan(spec, n, (first,))``
+    for first = 1..n in that order (one part, all of S_n, when n <= 1).
 
-    Serially the whole scan is one partition; with ``jobs > 1`` each first
-    entry is one, run in a process pool of at most one worker per partition.
-    ``reduce`` takes the partition's images, in ``scan`` order, and must
-    pickle, like a module-level function or ``Counter``; it goes to each
-    worker once, as the worker starts, and each task names only its first
-    entry.  Results are yielded in partition order, each once it and those
-    before it are done, so that the caller can fold each one in before the
-    next.  ``jobs < 1`` raises ``ValueError`` at the call.
+    ``jobs`` changes where the partitions run, not the results: with ``jobs > 1``
+    and n >= 2, in a process pool of at most one worker per partition, where
+    ``reduce`` must pickle (a module-level function or ``Counter``); it goes to each
+    worker once, as the worker starts, and each task names only its first entry.
+    Each result is yielded once it and those before it are done, so that the caller
+    can fold it in before the next.  ``jobs < 1`` raises ``ValueError`` at the call.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
@@ -200,14 +217,14 @@ def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> I
 
 
 def _partition_results(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
+    prefixes = [(first,) for first in range(1, n + 1)] or [()]
     if jobs > 1 and n >= 2:
-        tasks = [(spec, n, (first,)) for first in range(1, n + 1)]
         with ProcessPoolExecutor(
             max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=(reduce,)
         ) as pool:
-            yield from pool.map(_reduce_partition, tasks)
+            yield from pool.map(_reduce_partition, [(spec, n, p) for p in prefixes])
     else:
-        yield reduce(scan(spec, n))
+        yield from (reduce(scan(spec, n, p)) for p in prefixes)
 
 
 _worker_reduce: Callable | None = None  # a pool worker's reducer, set as it starts

@@ -7,10 +7,10 @@ preimage is read back as the permutation at the same lexicographic position.
 When every forbidden pattern has length >= 3, no image leaves its first-entry
 partition: a blocked push needs the incoming entry and at least two stack
 entries, so the bottom entry pi_1 is never popped before the drain and ends
-SC(pi).  Max fertility and spectra therefore fold the tally of one
-``scan(spec, n, (first,))`` partition at a time and never hold the tally of
-S_n.  A length-2 pattern can pop the bottom entry (every image under classical
-21 ends in n), so those machines fold the tally of all of S_n at once.
+SC(pi).  Max fertility and spectra therefore fold the tally of each partition
+that ``scan_reduce`` yields, one at a time, and never hold the tally of S_n.
+A length-2 pattern can pop the bottom entry (every image under classical 21
+ends in n), so those machines fold the tally of all of S_n at once.
 """
 
 from __future__ import annotations
@@ -58,25 +58,19 @@ def image_tally(
 ) -> Counter:
     """Multiset of machine images over all of S_n (fiber sizes by target)."""
     bounds.check_scan_bound(n, max_n, "image_tally")
-    parts = scan_reduce(spec, n, Counter, jobs)
-    tally = next(parts)
-    for part in parts:
+    tally = Counter()
+    for part in scan_reduce(spec, n, Counter, jobs):
         tally.update(part)
     return tally
 
 
 def _fiber_folds(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
-    """``reduce`` of the image tally of each part of S_n that holds whole
-    fibers: each first-entry partition when every forbidden pattern has length
-    >= 3 and n >= 2 (see the module docstring), else all of S_n.  The caller
-    checks the scan bound."""
-    if n < 2 or min(len(p.body) for p in spec.forbidden) < 3:
-        yield reduce(image_tally(spec, n, max_n=n, jobs=jobs))
-    elif jobs == 1:
-        for first in range(1, n + 1):
-            yield reduce(Counter(scan(spec, n, (first,))))
-    else:
+    """``reduce`` of the image tally of each part of S_n that holds whole fibers
+    (see the module docstring).  The caller checks the scan bound."""
+    if min(len(p.body) for p in spec.forbidden) >= 3:
         yield from scan_reduce(spec, n, partial(_reduce_tally, reduce), jobs)
+    else:
+        yield reduce(image_tally(spec, n, max_n=n, jobs=jobs))
 
 
 def _reduce_tally(reduce: Callable, images: Iterable[Perm]) -> object:

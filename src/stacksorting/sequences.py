@@ -161,6 +161,8 @@ def named_sequence(
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed sequence name: {name!r}") from None
+        if k < 3:
+            raise ValueError(f"genmotzkin:<k> needs k >= 3, got {k}")
         table = _each(lambda n: generalized_motzkin(k - 1, n))
     elif name in _TABLES:
         table = _TABLES[name]

@@ -9,8 +9,6 @@ import pytest
 
 from stacksorting import cli, dynamics, golden, sequences
 
-jsonschema = pytest.importorskip("jsonschema")
-
 
 def invoke(capsys, *args):
     code = cli.main(list(args))
@@ -56,6 +54,7 @@ class TestMap:
 
 class TestTrace:
     def test_json_schema_valid(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
         schema = load_schema("trace.schema.json")
         code, out, _ = invoke(capsys, "trace", "--pattern", "231",
                               "--input", "265413", "--show-stack")
@@ -97,6 +96,7 @@ class TestDynamicsCommands:
 
 class TestConjectureCommand:
     def test_schema_and_determinism(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
         schema = load_schema("conjecture_verdict.schema.json")
         code1, out1, _ = invoke(capsys, "conjecture", "--name", "vn-limit", "--n", "4")
         code2, out2, _ = invoke(capsys, "conjecture", "--name", "vn-limit", "--n", "4")
@@ -151,6 +151,7 @@ class TestFiberCommands:
         assert code == 0 and lines[0] == "1" and lines[1:] == ["321"]
 
     def test_max_fertility_json(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
         code, out, _ = invoke(capsys, "max-fertility", "--pattern", "231",
                               "--n", "5", "--format", "json")
         payload = json.loads(out)
@@ -294,6 +295,7 @@ class TestSeqCommand:
         assert code == 0 and out.strip() == "1, 1, 2, 5, 14, 42"
 
     def test_json(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
         code, out, _ = invoke(capsys, "seq", "--name", "fine", "--upto", "5",
                               "--format", "json")
         assert code == 0
@@ -310,6 +312,10 @@ class TestSeqCommand:
     def test_unknown(self, capsys):
         code, _, _ = invoke(capsys, "seq", "--name", "nope", "--upto", "3")
         assert code == 1
+
+    def test_genmotzkin_k_below_3(self, capsys):
+        code, out, err = invoke(capsys, "seq", "--name", "genmotzkin:2", "--upto", "6")
+        assert (code, out, err) == (1, "", "error: genmotzkin:<k> needs k >= 3, got 2\n")
 
     def test_upto_bound_exit_code(self, capsys):
         code, out, err = invoke(capsys, "seq", "--name", "catalan", "--upto", "20000")

@@ -329,9 +329,9 @@ class TestProbes:
         # one machine of each complement pair of length-3 machines at
         # n = 1..n_max, and the classic stack up to 7
         assert len(calls) == len(set(calls)) == 3 * n_max + min(n_max, 7)
-        # the length-3 machines fold each first entry on its own from n = 2
+        # the length-3 machines fold each first entry on its own, S_1 included
         classic = classical_machine((2, 1))
-        assert tallied and all(spec == classic or n < 2 for spec, n in tallied)
+        assert tallied and all(spec == classic for spec, n in tallied)
         assert {
             key: row["previous_bound_max"] for key, row in r.details["per_pattern"].items()
         } == expected
@@ -418,7 +418,7 @@ class TestUnrank:
             assert [_unrank(n, r) for r in range(factorial(n))] == list(all_permutations(n))
 
     def test_round_trips_with_rank_at_10(self):
-        ranker = _ranker(10)  # what ``rank`` builds on each call
+        ranker = _ranker(10)  # the batch ranker behind ``image_map``
         for r in itertools.chain(range(0, factorial(10), 997), [factorial(10) - 1]):
             assert ranker(_unrank(10, r)) == r
         assert rank(_unrank(10, 1234567)) == 1234567

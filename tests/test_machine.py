@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from stacksorting.machine import (
     MachineSpec,
     _compiled_runner,
     _push_blocked_reference,
+    _unrank,
     classical_machine,
     consecutive_123_image,
     consecutive_321_image,
@@ -253,6 +255,18 @@ class TestScan:
         assert count_sortable(SC231, 5, jobs=64) == count_sortable(SC231, 5)
         assert recording_pool["max_workers"] == [5]
 
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_partitions_do_not_depend_on_jobs(self, spec, recording_pool):
+        # one result per first entry, in order, whether serial or in the pool
+        for n in range(6):
+            prefixes = [(first,) for first in range(1, n + 1)] or [()]
+            expected = [Counter(scan(spec, n, p)) for p in prefixes]
+            assert list(scan_reduce(spec, n, Counter, 1)) == expected
+            assert list(scan_reduce(spec, n, Counter, 2)) == expected
+        assert recording_pool["tasks"] == [
+            [(spec, n, (first,)) for first in range(1, n + 1)] for n in range(2, 6)
+        ]
+
     def test_reducer_goes_to_each_worker_once(self, recording_pool):
         # the tasks name only the partition; the reducer rides in initargs
         parts = list(scan_reduce(SC231, 4, Counter, jobs=2))
@@ -308,6 +322,14 @@ class TestImageMap:
         for n in range(8):
             for p, r in _ranks(n).items():
                 assert rank(p) == r
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_rank_past_the_batch_tables(self, n):
+        # _ranker(n) would hold n!/24 prefixes; rank reads the Lehmer code
+        top = factorial(n) - 1
+        for r in (0, 1, 12345, top // 3, top - 720, top):
+            assert rank(_unrank(n, r)) == r
+        assert rank(tuple(range(n, 0, -1))) == top
 
     @pytest.mark.parametrize("word", [(2, 3), (1, 1), (0,), (1, 3, 2, 5)], ids=str)
     def test_rank_rejects_a_non_permutation(self, word):

@@ -196,3 +196,9 @@ class TestNamedSequences:
             named_sequence("fibonacci", 5)
         with pytest.raises(ValueError):
             named_sequence("genmotzkin:x", 5)
+
+    @pytest.mark.parametrize("k", [2, 0])
+    def test_genmotzkin_k_below_3(self, k):
+        # the message names the user's k, not the k - 1 of generalized_motzkin
+        with pytest.raises(ValueError, match=f"genmotzkin:<k> needs k >= 3, got {k}$"):
+            named_sequence(f"genmotzkin:{k}", 5)
