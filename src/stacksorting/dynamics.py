@@ -3,13 +3,26 @@ conjecture probes.
 
 A probe verifies a conjecture's statement exhaustively at desk scale; a
 failed conjecture is a normal result carried in the report, never an error.
+
+The probes work on ranks: ``image_map`` is the machine on the lexicographic
+ranks of S_n, and they keep a set of permutations as a ``bytearray`` mask by
+rank.
+Complement reverses lexicographic order, rank(pi^c) = n! - 1 - rank(pi), and
+SC_{sigma^c}(pi^c) = SC_sigma(pi)^c, so the masks of sigma^c are those of
+sigma reversed.  ``general-periodic`` over all patterns runs each symmetry
+class {sigma, rev sigma, sigma^c, rev sigma^c} together: one image map per
+complement pair and one avoider tree per class, since sigma and rev sigma
+have the same expected set.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from math import factorial
+from operator import gt, lt
 from typing import Callable, Iterable, Sequence
 
 from . import bounds, preimages, sequences, sortable
@@ -29,7 +42,6 @@ from .permutations import (
     complement,
     consecutive,
     format_permutation,
-    is_vee_shaped,
     pattern_avoiders,
     reverse,
 )
@@ -60,21 +72,28 @@ def orbit(spec: MachineSpec, perm: Sequence[int]) -> OrbitReport:
     return OrbitReport((*seen, x), first, len(seen) - first)
 
 
-def _cyclic_ranks(image: array) -> set[int]:
-    """The ranks on a cycle of the map: its eventual image, the ranks hit, then
-    those hit from them, until the set stops shrinking and the map is onto it."""
+def _mask(size: int, ranks: Iterable[int]) -> bytearray:
+    """The mask of the given size with 1 at each of the ranks."""
+    mask = bytearray(size)
+    deque(map(mask.__setitem__, ranks, itertools.repeat(1)), 0)
+    return mask
+
+
+def _cyclic_ranks(image: array) -> bytearray:
+    """The mask of the ranks on a cycle of the map: its eventual image, the
+    ranks hit, then those hit from them, until the set stops shrinking and the
+    map is onto it.  The set shrinks to a few percent of the ranks within a
+    few steps, so each step maps the set, not a mask over every rank."""
     live = set(image)
     while len(shrunk := set(map(image.__getitem__, live))) < len(live):
         live = shrunk
-    return live
+    return _mask(len(image), live)
 
 
 def periodic_points(spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND) -> set[Perm]:
     """All permutations of [n] lying on a cycle of the machine."""
     bounds.check_scan_bound(n, max_n, "periodic_points")
-    image = image_map(spec, n)
-    live = _cyclic_ranks(image)
-    return set(itertools.compress(all_permutations(n), map(live.__contains__, range(len(image)))))
+    return set(itertools.compress(all_permutations(n), _cyclic_ranks(image_map(spec, n))))
 
 
 def _cycle_lengths(step: Callable, points: Iterable) -> set[int]:
@@ -223,12 +242,26 @@ class ConjectureReport:
         }
 
 
+def _bent_mask(n: int) -> bytearray:
+    """The mask of the permutations of [n], n >= 1, that are not V-shaped.
+
+    A V-shaped permutation has 1 at its valley, and each other value goes to
+    its left, where they descend, or to its right, where they ascend: the
+    2^(n-1) subsets of {2, .., n} that go left pick them.
+    """
+    mask = bytearray(b"\x01") * factorial(n)
+    for k in range(n):
+        for left in itertools.combinations(range(n, 1, -1), k):
+            mask[rank((*left, 1, *(v for v in range(2, n + 1) if v not in left)))] = 0
+    return mask
+
+
 def _orbit_probe(spec: MachineSpec, n: int, max_n: int, what: str) -> tuple[array, bytearray]:
     """The image map of S_n and the mask of its ranks that are not V-shaped."""
     if n < 3:
         raise ValueError("n must be >= 3")
     bounds.check_scan_bound(n, max_n, what)
-    return image_map(spec, n), bytearray(not is_vee_shaped(p) for p in all_permutations(n))
+    return image_map(spec, n), _bent_mask(n)
 
 
 def _orbit_report(
@@ -267,6 +300,43 @@ def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureRe
     return _orbit_report("2n-4", n, slow, sources[0] if sources else None, details)
 
 
+def _expected_periodic(sigma: Perm, n: int) -> bytearray:
+    """The mask of the conjectured periodic points of SC_sigma on S_n: the
+    avoiders of sigma and its reverse as consecutive patterns."""
+    avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
+    return _mask(factorial(n), map(_ranker(n), avoiders))
+
+
+def _periodic_report(
+    sigma: Perm, n: int, live: bytearray, expected: bytearray, periods: list[int]
+) -> ConjectureReport:
+    """The general-periodic verdict on S_n for sigma from its masks of cyclic
+    and expected ranks; the witnesses are the first three ranks of each
+    difference, in rank (lexicographic) order."""
+    holds = live == expected
+    witnesses = () if holds else tuple(
+        {"kind": kind, "perm": format_permutation(_unrank(n, r))}
+        for kind, differs in (("unexpected_periodic", gt), ("missing_periodic", lt))
+        for r in itertools.islice(
+            itertools.compress(itertools.count(), map(differs, live, expected)), 3
+        )
+    )
+    details = {
+        "pattern": format_permutation(sigma),
+        "periodic_count": live.count(1),
+        "observed_periods": periods,
+    }
+    return ConjectureReport("general-periodic", n, holds, witnesses, details)
+
+
+def _cyclic_ranks_and_periods(sigma: Perm, n: int) -> tuple[bytearray, list[int]]:
+    """The mask of the cyclic ranks of SC_sigma on S_n and its cycle lengths."""
+    image = image_map(consecutive_machine(sigma), n)
+    live = _cyclic_ranks(image)
+    periods = _cycle_lengths(image.__getitem__, itertools.compress(itertools.count(), live))
+    return live, sorted(periods)
+
+
 def probe_general_periodic(
     sigma: Sequence[int], n: int, max_n: int = bounds.SCAN_BOUND
 ) -> ConjectureReport:
@@ -277,27 +347,36 @@ def probe_general_periodic(
         raise ValueError(
             "the periodic-point conjecture concerns patterns of length >= 3"
         )
-    spec = consecutive_machine(sigma)
     bounds.check_scan_bound(n, max_n, "probe_general_periodic")
-    image = image_map(spec, n)
-    live = _cyclic_ranks(image)
-    avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
-    expected = set(map(_ranker(n), avoiders))
-    # the first few of each difference, in rank (lexicographic) order
-    witnesses = tuple(
-        {"kind": kind, "perm": format_permutation(_unrank(n, r))}
-        for kind, ranks in (
-            ("unexpected_periodic", live - expected),
-            ("missing_periodic", expected - live),
-        )
-        for r in sorted(ranks)[:3]
-    )
-    details = {
-        "pattern": format_permutation(sigma),
-        "periodic_count": len(live),
-        "observed_periods": sorted(_cycle_lengths(image.__getitem__, live)),
-    }
-    return ConjectureReport("general-periodic", n, live == expected, witnesses, details)
+    live, periods = _cyclic_ranks_and_periods(sigma, n)
+    return _periodic_report(sigma, n, live, _expected_periodic(sigma, n), periods)
+
+
+def _general_periodic_by_class(sigmas: list[Perm], n_max: int) -> list[ConjectureReport]:
+    """``probe_general_periodic(sigma, m)`` for each sigma, then each m = 1..n_max,
+    computed per symmetry class {sigma, rev sigma, sigma^c, rev sigma^c}.
+
+    sigma and rev sigma have the same expected set, so one avoider tree serves
+    the class at each m.  sigma^c and rev sigma^c need no image map: complement
+    reverses the rank order and conjugates the machine, so their masks are
+    those of sigma and rev sigma reversed, with the same cycle lengths.
+    """
+    reports: dict[tuple[Perm, int], ConjectureReport] = {}
+    for sigma in sigmas:
+        if (sigma, n_max) in reports:
+            continue
+        # one image map per complement pair; for some sigma, rev sigma is sigma^c
+        mapped = [sigma] if reverse(sigma) == complement(sigma) else [sigma, reverse(sigma)]
+        for m in range(1, n_max + 1):
+            expected = _expected_periodic(sigma, m)
+            mirrored = expected[::-1]
+            for s in mapped:
+                live, periods = _cyclic_ranks_and_periods(s, m)
+                reports[s, m] = _periodic_report(s, m, live, expected, periods)
+                reports[complement(s), m] = _periodic_report(
+                    complement(s), m, live[::-1], mirrored, periods
+                )
+    return [reports[s, m] for s in sigmas for m in range(1, n_max + 1)]
 
 
 def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -423,18 +502,10 @@ def run_conjecture(
         probe = probe_settling_bound if name == "2n-4" else probe_vee_limit
         return _aggregate(name, n, [probe(m, max_n=max_n) for m in range(3, n + 1)])
     if sigma is not None:
-        sigmas = [tuple(sigma)]
+        reports = [probe_general_periodic(sigma, m, max_n=max_n) for m in range(1, n + 1)]
     else:
-        sigmas = [
-            s
-            for k in (3, 4)
-            for s in itertools.permutations(range(1, k + 1))
-        ]
-    reports = [
-        probe_general_periodic(s, m, max_n=max_n)
-        for s in sigmas
-        for m in range(1, n + 1)
-    ]
+        sigmas = [s for k in (3, 4) for s in itertools.permutations(range(1, k + 1))]
+        reports = _general_periodic_by_class(sigmas, n)
     return _aggregate("general-periodic", n, reports)
 
 

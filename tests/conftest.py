@@ -104,6 +104,18 @@ def fertility_spectrum_reference(spec, n_max):
             for c in preimages.image_tally(spec, n, max_n=n).values()}
 
 
+# --- reference cyclic ranks ----------------------------------------------
+
+def cyclic_ranks_reference(image):
+    """The ranks on a cycle of the rank map ``image``, as a set: the image of
+    the live set, from all ranks, until it stops shrinking, apart from the
+    mask behind ``dynamics._cyclic_ranks``."""
+    live = set(range(len(image)))
+    while len(shrunk := {image[r] for r in live}) < len(live):
+        live = shrunk
+    return live
+
+
 # --- reference containment -----------------------------------------------
 
 def contains_reference(host, pattern):

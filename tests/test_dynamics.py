@@ -6,11 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import avoiders_reference, every_machine_shape
+from conftest import avoiders_reference, cyclic_ranks_reference, every_machine_shape
 from stacksorting.bounds import ResourceBoundError
+from stacksorting import dynamics
 from stacksorting.dynamics import (
     CONJECTURE_NAMES,
     ConjectureReport,
+    _aggregate,
+    _bent_mask,
+    _cyclic_ranks,
+    _general_periodic_by_class,
     _unrank,
     cycle_periods,
     deep_witness,
@@ -28,9 +33,17 @@ from stacksorting.dynamics import (
     vee_limit,
     verify_witness_trajectory,
 )
-from stacksorting.machine import _ranker, classical_machine, consecutive_machine, rank, run
+from stacksorting.machine import (
+    _ranker,
+    classical_machine,
+    consecutive_machine,
+    image_map,
+    rank,
+    run,
+)
 from stacksorting.permutations import (
     all_permutations,
+    complement,
     consecutive,
     classical,
     format_permutation,
@@ -38,6 +51,8 @@ from stacksorting.permutations import (
     is_vee_shaped,
     pattern_avoiders,
 )
+
+SIGMAS = [s for k in (3, 4) for s in itertools.permutations(range(1, k + 1))]
 
 SC132 = consecutive_machine((1, 3, 2))
 SC321 = consecutive_machine((3, 2, 1))
@@ -111,6 +126,14 @@ class TestPeriodicPoints:
             assert periodic_points(spec, n) == {
                 p for p in all_permutations(n) if orbit(spec, p).preperiod == 0
             }
+
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_cyclic_ranks_match_the_set_fixpoint(self, spec):
+        for n in range(7):
+            image = image_map(spec, n)
+            mask = _cyclic_ranks(image)
+            assert len(mask) == factorial(n)
+            assert set(itertools.compress(range(len(mask)), mask)) == cyclic_ranks_reference(image)
 
     def test_consecutive_pair_avoidance_is_classical_for_132_231(self):
         # avoiding 132 and 231 consecutively already forces classical
@@ -245,6 +268,10 @@ class TestProbes:
             for p in found
         )
 
+    def test_bent_mask_by_rank_matches_is_vee_shaped(self):
+        for n in range(1, 10):
+            assert _bent_mask(n) == bytearray(not is_vee_shaped(p) for p in all_permutations(n))
+
     def test_general_periodic_s3(self):
         for sigma in itertools.permutations((1, 2, 3)):
             r = probe_general_periodic(sigma, 6)
@@ -270,9 +297,64 @@ class TestProbes:
             + [{"kind": "missing_periodic", "perm": format_permutation(p)} for p in extra]
         )
 
-    @pytest.mark.parametrize("sigma", [
-        s for k in (3, 4) for s in itertools.permutations(range(1, k + 1))
-    ], ids=format_permutation)
+    def test_general_periodic_shared_route_matches_each_probe(self):
+        # one image map per complement pair and one avoider tree per class
+        # give each sigma the report it gets on its own
+        alone = [probe_general_periodic(s, m) for s in SIGMAS for m in range(1, 7)]
+        assert _general_periodic_by_class(SIGMAS, 6) == alone
+        assert run_conjecture("general-periodic", 6) == _aggregate("general-periodic", 6, alone)
+
+    def test_general_periodic_mirrors_witnesses_for_the_complement(self, monkeypatch):
+        # a doctored avoider stream for the class of 132 at n = 6, and its
+        # complement for 312 and 213 on their own: the shared route builds
+        # only the first, and mirrors it for 312 and 213
+        n = 6
+        pair = {consecutive((1, 3, 2)), consecutive((2, 3, 1))}
+        pair_c = {consecutive((3, 1, 2)), consecutive((2, 1, 3))}
+        real = list(pattern_avoiders(n, pair))
+        extra = [p for p in all_permutations(n) if p not in real][:3]
+        streamed = sorted(real[4:] + extra)
+        doctored = {frozenset(pair): streamed, frozenset(pair_c): sorted(map(complement, streamed))}
+
+        def avoiders(m, pats):
+            if m == n and frozenset(pats) in doctored:
+                return iter(doctored[frozenset(pats)])
+            return pattern_avoiders(m, pats)
+
+        monkeypatch.setattr(dynamics, "pattern_avoiders", avoiders)
+        alone = [probe_general_periodic(s, m) for s in SIGMAS for m in range(1, n + 1)]
+        shared = _general_periodic_by_class(SIGMAS, n)
+        assert shared == alone
+        by_case = {(r.details["pattern"], r.n): r for r in shared}
+        for sigma in ("132", "231", "312", "213"):
+            assert not by_case[sigma, n].holds
+        assert by_case["312", n].witnesses == tuple(
+            [{"kind": "unexpected_periodic", "perm": format_permutation(p)}
+             for p in sorted(map(complement, real[:4]))[:3]]
+            + [{"kind": "missing_periodic", "perm": format_permutation(p)}
+               for p in sorted(map(complement, extra))]
+        )
+
+    @pytest.mark.parametrize("sigma, maps, trees", [(None, 15, 10), ((1, 3, 2), 1, 1)])
+    def test_general_periodic_builds_per_pair_and_class(self, monkeypatch, sigma, maps, trees):
+        # for each m: one image map per complement pair and one avoider tree
+        # per symmetry class; with a sigma, one of each
+        calls = {"image_map": 0, "pattern_avoiders": 0}
+
+        def counted(name):
+            real = getattr(dynamics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        run_conjecture("general-periodic", 4, sigma=sigma)
+        assert calls == {"image_map": 4 * maps, "pattern_avoiders": 4 * trees}
+
+    @pytest.mark.parametrize("sigma", SIGMAS, ids=format_permutation)
     def test_general_periodic_details_by_periodic_points(self, sigma):
         # the probe reads ranks off the image map; periodic_points unranks
         # them and cycle_periods walks each cycle on the runner

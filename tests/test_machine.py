@@ -323,6 +323,12 @@ class TestImageMap:
             for p, r in _ranks(n).items():
                 assert rank(p) == r
 
+    def test_complement_reverses_the_rank_order(self):
+        # the general-periodic probe mirrors the masks of sigma for sigma^c
+        for n in range(8):
+            for p, r in _ranks(n).items():
+                assert rank(complement(p)) == factorial(n) - 1 - r
+
     @pytest.mark.parametrize("n", [13, 14, 15])
     def test_rank_past_the_batch_tables(self, n):
         # _ranker(n) would hold n!/24 prefixes; rank reads the Lehmer code
