@@ -9,10 +9,10 @@ ranks of S_n, and they keep a set of permutations as a ``bytearray`` mask by
 rank.
 Complement reverses lexicographic order, rank(pi^c) = n! - 1 - rank(pi), and
 SC_{sigma^c}(pi^c) = SC_sigma(pi)^c, so the masks of sigma^c are those of
-sigma reversed.  ``general-periodic`` over all patterns runs each symmetry
-class {sigma, rev sigma, sigma^c, rev sigma^c} together: one image map per
-complement pair and one avoider tree per class, since sigma and rev sigma
-have the same expected set.
+sigma reversed.  ``general-periodic`` takes one route for any set of
+patterns: each symmetry class {sigma, rev sigma, sigma^c, rev sigma^c} gets
+one avoider tree, since sigma and rev sigma expect the same set, and one
+image map per complement pair asked for.
 """
 
 from __future__ import annotations
@@ -300,13 +300,6 @@ def probe_settling_bound(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureRe
     return _orbit_report("2n-4", n, slow, sources[0] if sources else None, details)
 
 
-def _expected_periodic(sigma: Perm, n: int) -> bytearray:
-    """The mask of the conjectured periodic points of SC_sigma on S_n: the
-    avoiders of sigma and its reverse as consecutive patterns."""
-    avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
-    return _mask(factorial(n), map(_ranker(n), avoiders))
-
-
 def _periodic_report(
     sigma: Perm, n: int, live: bytearray, expected: bytearray, periods: list[int]
 ) -> ConjectureReport:
@@ -329,54 +322,50 @@ def _periodic_report(
     return ConjectureReport("general-periodic", n, holds, witnesses, details)
 
 
-def _cyclic_ranks_and_periods(sigma: Perm, n: int) -> tuple[bytearray, list[int]]:
-    """The mask of the cyclic ranks of SC_sigma on S_n and its cycle lengths."""
-    image = image_map(consecutive_machine(sigma), n)
-    live = _cyclic_ranks(image)
-    periods = _cycle_lengths(image.__getitem__, itertools.compress(itertools.count(), live))
-    return live, sorted(periods)
-
-
 def probe_general_periodic(
     sigma: Sequence[int], n: int, max_n: int = bounds.SCAN_BOUND
 ) -> ConjectureReport:
     """Are the periodic points exactly the avoiders of the pattern and its
     reverse as consecutive patterns?"""
-    sigma = tuple(sigma)
-    if len(sigma) < 3:
-        raise ValueError(
-            "the periodic-point conjecture concerns patterns of length >= 3"
-        )
     bounds.check_scan_bound(n, max_n, "probe_general_periodic")
-    live, periods = _cyclic_ranks_and_periods(sigma, n)
-    return _periodic_report(sigma, n, live, _expected_periodic(sigma, n), periods)
+    return _general_periodic([tuple(sigma)], n)[0]
 
 
-def _general_periodic_by_class(sigmas: list[Perm], n_max: int) -> list[ConjectureReport]:
-    """``probe_general_periodic(sigma, m)`` for each sigma, then each m = 1..n_max,
-    computed per symmetry class {sigma, rev sigma, sigma^c, rev sigma^c}.
+def _general_periodic(sigmas: Sequence[Perm], n: int) -> list[ConjectureReport]:
+    """The general-periodic report of each sigma on S_n, in order, computed per
+    symmetry class {sigma, rev sigma, sigma^c, rev sigma^c}.
 
-    sigma and rev sigma have the same expected set, so one avoider tree serves
-    the class at each m.  sigma^c and rev sigma^c need no image map: complement
-    reverses the rank order and conjugates the machine, so their masks are
-    those of sigma and rev sigma reversed, with the same cycle lengths.
+    The conjectured periodic points of SC_sigma are the avoiders of sigma and
+    rev sigma as consecutive patterns, so one avoider tree serves the class.
+    sigma^c and rev sigma^c need no image map: complement reverses the rank
+    order and conjugates the machine, so their masks are those of sigma and
+    rev sigma reversed, with the same cycle lengths.  A member of {sigma,
+    rev sigma} is mapped only when it or its complement is asked for.
     """
-    reports: dict[tuple[Perm, int], ConjectureReport] = {}
+    if any(len(sigma) < 3 for sigma in sigmas):
+        raise ValueError("the periodic-point conjecture concerns patterns of length >= 3")
+    asked = set(sigmas)
+    reports: dict[Perm, ConjectureReport] = {}
     for sigma in sigmas:
-        if (sigma, n_max) in reports:
+        if sigma in reports:
             continue
-        # one image map per complement pair; for some sigma, rev sigma is sigma^c
-        mapped = [sigma] if reverse(sigma) == complement(sigma) else [sigma, reverse(sigma)]
-        for m in range(1, n_max + 1):
-            expected = _expected_periodic(sigma, m)
-            mirrored = expected[::-1]
-            for s in mapped:
-                live, periods = _cyclic_ranks_and_periods(s, m)
-                reports[s, m] = _periodic_report(s, m, live, expected, periods)
-                reports[complement(s), m] = _periodic_report(
-                    complement(s), m, live[::-1], mirrored, periods
-                )
-    return [reports[s, m] for s in sigmas for m in range(1, n_max + 1)]
+        avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
+        expected = _mask(factorial(n), map(_ranker(n), avoiders))
+        mirrored = expected[::-1]
+        # for some sigma, rev sigma is sigma^c and already reported
+        for s in (sigma, reverse(sigma)):
+            if s in reports or not asked & {s, complement(s)}:
+                continue
+            image = image_map(consecutive_machine(s), n)
+            live = _cyclic_ranks(image)
+            periods = sorted(
+                _cycle_lengths(image.__getitem__, itertools.compress(itertools.count(), live))
+            )
+            reports[s] = _periodic_report(s, n, live, expected, periods)
+            reports[complement(s)] = _periodic_report(
+                complement(s), n, live[::-1], mirrored, periods
+            )
+    return [reports[sigma] for sigma in sigmas]
 
 
 def probe_vee_limit(n: int, max_n: int = bounds.SCAN_BOUND) -> ConjectureReport:
@@ -502,11 +491,12 @@ def run_conjecture(
         probe = probe_settling_bound if name == "2n-4" else probe_vee_limit
         return _aggregate(name, n, [probe(m, max_n=max_n) for m in range(3, n + 1)])
     if sigma is not None:
-        reports = [probe_general_periodic(sigma, m, max_n=max_n) for m in range(1, n + 1)]
+        sigmas = [tuple(sigma)]
     else:
         sigmas = [s for k in (3, 4) for s in itertools.permutations(range(1, k + 1))]
-        reports = _general_periodic_by_class(sigmas, n)
-    return _aggregate("general-periodic", n, reports)
+    # the cases run pattern by pattern, each over m = 1..n
+    by_n = [_general_periodic(sigmas, m) for m in range(1, n + 1)]
+    return _aggregate("general-periodic", n, [r for case in zip(*by_n) for r in case])
 
 
 def _aggregate(name: str, n: int, reports: list[ConjectureReport]) -> ConjectureReport:

@@ -53,6 +53,7 @@ def no_scan(monkeypatch):
         raise AssertionError("scanned before the bound check")
 
     monkeypatch.setattr(dynamics, "image_map", scan)
+    monkeypatch.setattr(dynamics, "pattern_avoiders", scan)
     monkeypatch.setattr(sortable, "count_sortable", scan)
     monkeypatch.setattr(sortable, "count_sortable_pair", scan)
     monkeypatch.setattr(preimages, "image_tally", scan)

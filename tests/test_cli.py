@@ -133,6 +133,18 @@ class TestConjectureCommand:
         code, out, err = invoke(capsys, "conjecture", "--name", name, "--n", "10")
         assert code == 3 and out == "" and "n <= 9" in err
 
+    @pytest.mark.parametrize("sigma", ["21", "1"])
+    def test_short_sigma_exits_1(self, capsys, sigma):
+        code, out, err = invoke(capsys, "conjecture", "--name", "general-periodic",
+                                "--sigma", sigma, "--n", "4")
+        assert code == 1 and out == "" and "length >= 3" in err
+
+    def test_short_sigma_past_the_bound_exits_3(self, capsys, no_scan):
+        # the bound is checked before the pattern's length
+        code, out, err = invoke(capsys, "conjecture", "--name", "general-periodic",
+                                "--sigma", "21", "--n", "10")
+        assert code == 3 and out == "" and "n <= 9" in err
+
     def test_single_sigma(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "--name", "general-periodic",
                               "--n", "5", "--sigma", "1234")

@@ -15,7 +15,7 @@ from stacksorting.dynamics import (
     _aggregate,
     _bent_mask,
     _cyclic_ranks,
-    _general_periodic_by_class,
+    _general_periodic,
     _unrank,
     cycle_periods,
     deep_witness,
@@ -301,7 +301,8 @@ class TestProbes:
         # one image map per complement pair and one avoider tree per class
         # give each sigma the report it gets on its own
         alone = [probe_general_periodic(s, m) for s in SIGMAS for m in range(1, 7)]
-        assert _general_periodic_by_class(SIGMAS, 6) == alone
+        for m in range(1, 7):
+            assert _general_periodic(SIGMAS, m) == alone[m - 1::6]
         assert run_conjecture("general-periodic", 6) == _aggregate("general-periodic", 6, alone)
 
     def test_general_periodic_mirrors_witnesses_for_the_complement(self, monkeypatch):
@@ -323,22 +324,30 @@ class TestProbes:
 
         monkeypatch.setattr(dynamics, "pattern_avoiders", avoiders)
         alone = [probe_general_periodic(s, m) for s in SIGMAS for m in range(1, n + 1)]
-        shared = _general_periodic_by_class(SIGMAS, n)
-        assert shared == alone
-        by_case = {(r.details["pattern"], r.n): r for r in shared}
+        for m in range(1, n + 1):
+            shared = _general_periodic(SIGMAS, m)
+            assert shared == alone[m - 1::n]
+        by_case = {r.details["pattern"]: r for r in shared}
         for sigma in ("132", "231", "312", "213"):
-            assert not by_case[sigma, n].holds
-        assert by_case["312", n].witnesses == tuple(
+            assert not by_case[sigma].holds
+        assert by_case["312"].witnesses == tuple(
             [{"kind": "unexpected_periodic", "perm": format_permutation(p)}
              for p in sorted(map(complement, real[:4]))[:3]]
             + [{"kind": "missing_periodic", "perm": format_permutation(p)}
                for p in sorted(map(complement, extra))]
         )
 
-    @pytest.mark.parametrize("sigma, maps, trees", [(None, 15, 10), ((1, 3, 2), 1, 1)])
+    @pytest.mark.parametrize("sigma, maps, trees", [
+        (None, 15, 10),
+        ((1, 3, 2), 1, 1),
+        ((1, 2, 3), 1, 1),
+        ((1, 2, 4, 3), 1, 1),
+        ((2, 4, 1, 3), 1, 1),
+    ])
     def test_general_periodic_builds_per_pair_and_class(self, monkeypatch, sigma, maps, trees):
         # for each m: one image map per complement pair and one avoider tree
-        # per symmetry class; with a sigma, one of each
+        # per symmetry class; with a sigma, one of each, whether rev sigma is
+        # sigma^c (123, 2413) or not (132, 1243)
         calls = {"image_map": 0, "pattern_avoiders": 0}
 
         def counted(name):
