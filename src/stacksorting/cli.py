@@ -300,6 +300,8 @@ def cmd_class_check(pattern, brute_n):
         raise click.UsageError("--brute-n must be >= 0 (0 skips the brute check)")
     sigma = _parse_perm(pattern)
     verdict = sortable.classify_sortable_set(sigma)
+    if brute_n > bounds.PAIRWISE_BOUND:
+        raise ResourceBoundError(f"--brute-n must be <= {bounds.PAIRWISE_BOUND}, got {brute_n}")
     click.echo(verdict.value)
     if brute_n:
         spec = consecutive_machine(sigma)

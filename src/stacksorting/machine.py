@@ -8,9 +8,10 @@ through an occurrence whose first entry is the incoming one.
 
 Every machine runs one body generated from its patterns by
 ``permutations._compiled_feed``, labelled ``consecutive`` when all the patterns
-are consecutive and ``generic`` otherwise.  The tests check it against the
-independent routes: ``trace`` (the backtracking reference decider),
-``stack_sort`` and the closed-form images of the monotone length-3 machines.
+are consecutive and ``generic`` otherwise; ``trace`` runs it too, one input
+entry per call.  The tests check it against the independent routes: a
+backtracking reference decider (in the tests), ``stack_sort`` and the
+closed-form images of the monotone length-3 machines.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .permutations import (
     classical,
     consecutive,
     descending_runs,
-    occurs_with_first_entry,
 )
 
 
@@ -69,19 +69,8 @@ def machine_of(patterns: Iterable[PatternSpec]) -> MachineSpec:
 
 
 # ---------------------------------------------------------------------------
-# push deciders and machine bodies
+# machine bodies
 # ---------------------------------------------------------------------------
-
-def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> bool:
-    """Would pushing c create a forbidden occurrence?  (reference decider)
-
-    The stack is given bottom-to-top; the hypothetical stack reading is c
-    followed by the current entries from top to bottom.  Any new occurrence
-    must start at c, so only occurrences with first entry c are searched.
-    """
-    host = (c, *reversed(stack))
-    return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
-
 
 @lru_cache(maxsize=None)
 def _compiled_runner(spec: MachineSpec) -> Callable[[Sequence[int]], Perm]:
@@ -252,26 +241,30 @@ class TraceStep:
 
 
 def trace(spec: MachineSpec, perm: Sequence[int], record_stacks: bool = True) -> list[TraceStep]:
-    """The full push/pop sequence of one machine run.
+    """The full push/pop sequence of one machine run, fed one entry at a time.
 
-    Uses the reference decider; agreement with the compiled runners is part of
-    the test suite.
+    The pops before each push are the new tail of the feed's output, top
+    first; the drain pops the rest of the stack.
+
+    >>> [(s.kind, s.value) for s in trace(consecutive_machine((2, 3, 1)), (1, 3, 2))]
+    [('push', 1), ('push', 3), ('pop', 3), ('push', 2), ('pop', 2), ('pop', 1)]
     """
+    feed = _compiled_feed(spec.forbidden)
     steps: list[TraceStep] = []
     stack: list[int] = []
+    out: list[int] = []
 
-    def snap() -> Perm | None:
-        return tuple(reversed(stack)) if record_stacks else None
+    def pops(popped: list[int], below: list[int]) -> None:
+        # popped top first; after each pop the stack reads the later pops, then below
+        for i, v in enumerate(popped):
+            steps.append(TraceStep("pop", v, tuple(popped[i + 1:] + below) if record_stacks else None))
 
     for c in perm:
-        while stack and _push_blocked_reference(spec, stack, c):
-            v = stack.pop()
-            steps.append(TraceStep("pop", v, snap()))
-        stack.append(c)
-        steps.append(TraceStep("push", c, snap()))
-    while stack:
-        v = stack.pop()
-        steps.append(TraceStep("pop", v, snap()))
+        done = len(out)
+        feed(stack, out, (c,))
+        pops(out[done:], stack[-2::-1])
+        steps.append(TraceStep("push", c, tuple(stack[::-1]) if record_stacks else None))
+    pops(stack[::-1], [])
     return steps
 
 

@@ -14,8 +14,8 @@ Every occurrence search runs one body generated from the patterns
 loops over the stack depths of the occurrence entries after the first, with a
 single step for each adjacent position.  The machines run it as is;
 ``contains`` and ``pattern_avoiders`` run it on the mirrored patterns, whose
-stack is a host prefix (``_prefix_feed``).  ``occurs_with_first_entry`` keeps
-the backtracking reference search, against which the tests check the rest.
+stack is a host prefix (``_prefix_feed``).  The tests check it against a
+backtracking reference search of their own.
 """
 
 from __future__ import annotations
@@ -180,39 +180,6 @@ def consecutive(body: Iterable[int]) -> PatternSpec:
 
 def vincular(body: Iterable[int], adjacency: Iterable[int]) -> PatternSpec:
     return PatternSpec(tuple(body), frozenset(adjacency))
-
-
-def _occurrence_search(host: Sequence[int], body: Sequence[int], adjacency: frozenset[int]) -> bool:
-    """Backtracking search for one occurrence whose first entry is host[0]: the
-    reference against which the tests check the generated search below."""
-    k = len(body)
-    n = len(host)
-    chosen_vals = list(host[:1])
-
-    def extend(t: int, prev_idx: int) -> bool:
-        if t == k:
-            return True
-        if t in adjacency:
-            candidates = range(prev_idx + 1, prev_idx + 2)
-        else:
-            candidates = range(prev_idx + 1, n - (k - t) + 1)
-        bt = body[t]
-        for idx in candidates:
-            v = host[idx]
-            if any((chosen_vals[s] < v) != (body[s] < bt) for s in range(t)):
-                continue
-            chosen_vals.append(v)
-            if extend(t + 1, idx):
-                return True
-            chosen_vals.pop()
-        return False
-
-    return k <= n and extend(1, 0)
-
-
-def occurs_with_first_entry(host: Sequence[int], pattern: PatternSpec) -> bool:
-    """True iff some occurrence of ``pattern`` uses host[0] as its first entry."""
-    return _occurrence_search(host, pattern.body, pattern.adjacency)
 
 
 # ---------------------------------------------------------------------------

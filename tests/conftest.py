@@ -2,19 +2,20 @@ import itertools
 import time
 from contextlib import contextmanager
 from operator import countOf
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from stacksorting import dynamics, preimages, sortable
-from stacksorting.machine import MachineSpec, consecutive_machine, machine_of, scan
+from stacksorting.machine import MachineSpec, TraceStep, consecutive_machine, machine_of, scan
 from stacksorting.permutations import (
     PatternSpec,
     all_permutations,
     classical,
     complement,
     consecutive,
-    occurs_with_first_entry,
+    standardize,
     vincular,
 )
 
@@ -115,6 +116,86 @@ def cyclic_ranks_reference(image):
     while len(shrunk := {image[r] for r in live}) < len(live):
         live = shrunk
     return live
+
+
+# --- reference push decider ---------------------------------------------
+
+def _occurrence_search(host: Sequence[int], body: Sequence[int], adjacency: frozenset[int]) -> bool:
+    """Backtracking search for one occurrence whose first entry is host[0]: the
+    reference against which the tests check the generated search."""
+    k = len(body)
+    n = len(host)
+    chosen_vals = list(host[:1])
+
+    def extend(t: int, prev_idx: int) -> bool:
+        if t == k:
+            return True
+        if t in adjacency:
+            candidates = range(prev_idx + 1, prev_idx + 2)
+        else:
+            candidates = range(prev_idx + 1, n - (k - t) + 1)
+        bt = body[t]
+        for idx in candidates:
+            v = host[idx]
+            if any((chosen_vals[s] < v) != (body[s] < bt) for s in range(t)):
+                continue
+            chosen_vals.append(v)
+            if extend(t + 1, idx):
+                return True
+            chosen_vals.pop()
+        return False
+
+    return k <= n and extend(1, 0)
+
+
+def occurs_with_first_entry(host: Sequence[int], pattern: PatternSpec) -> bool:
+    """True iff some occurrence of ``pattern`` uses host[0] as its first entry."""
+    return _occurrence_search(host, pattern.body, pattern.adjacency)
+
+
+def occurs_brute(host, pattern):
+    """``occurs_with_first_entry`` by trying every choice of k - 1 positions after
+    host[0]: positions in the adjacency set sit next to each other, and the
+    chosen entries standardize to the body."""
+    body = pattern.body
+    for rest in itertools.combinations(range(1, len(host)), len(body) - 1):
+        chosen = (0, *rest)
+        if (all(chosen[i] == chosen[i - 1] + 1 for i in pattern.adjacency)
+                and standardize([host[i] for i in chosen]) == body):
+            return True
+    return False
+
+
+def _push_blocked_reference(spec: MachineSpec, stack: Sequence[int], c: int) -> bool:
+    """Would pushing c create a forbidden occurrence?  (reference decider)
+
+    The stack is given bottom-to-top; the hypothetical stack reading is c
+    followed by the current entries from top to bottom.  Any new occurrence
+    must start at c, so only occurrences with first entry c are searched.
+    """
+    host = (c, *reversed(stack))
+    return any(occurs_with_first_entry(host, p) for p in spec.forbidden)
+
+
+def trace_reference(spec, perm, record_stacks=True):
+    """The push/pop sequence of one machine run by ``_push_blocked_reference``,
+    apart from the generated feed behind ``trace``."""
+    steps = []
+    stack = []
+
+    def snap():
+        return tuple(reversed(stack)) if record_stacks else None
+
+    for c in perm:
+        while stack and _push_blocked_reference(spec, stack, c):
+            v = stack.pop()
+            steps.append(TraceStep("pop", v, snap()))
+        stack.append(c)
+        steps.append(TraceStep("push", c, snap()))
+    while stack:
+        v = stack.pop()
+        steps.append(TraceStep("pop", v, snap()))
+    return steps
 
 
 # --- reference containment -----------------------------------------------

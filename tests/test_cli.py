@@ -282,6 +282,13 @@ class TestClassCheck:
         code, out, _ = invoke(capsys, "class-check", "--pattern", "2431")
         assert code == 0 and "Av(132)" in out
 
+    def test_brute_n_past_the_bound_exits_3(self, capsys):
+        code, out, err = invoke(capsys, "class-check", "--pattern", "12", "--brute-n", "9")
+        assert code == 3 and out == "" and "--brute-n must be <= 8" in err
+        # the pattern is still checked first
+        code, out, err = invoke(capsys, "class-check", "--pattern", "1", "--brute-n", "9")
+        assert code == 1 and out == "" and "length >= 2" in err
+
 
 class TestSeqCommand:
     @pytest.fixture(autouse=True)

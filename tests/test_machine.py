@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 from collections import Counter
 from math import factorial
 
@@ -6,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stacksorting
 from conftest import (
+    _push_blocked_reference,
     complement_machine,
     contains_reference,
     every_machine_shape,
     pattern_bodies,
     permutations_up_to,
+    trace_reference,
 )
 from stacksorting.machine import (
     MachineSpec,
+    TraceStep,
     _compiled_runner,
-    _push_blocked_reference,
     _unrank,
     classical_machine,
     consecutive_123_image,
@@ -35,7 +40,6 @@ from stacksorting.machine import (
 )
 from stacksorting.permutations import (
     _compiled_feed,
-    _prefix_feed,
     all_permutations,
     classical,
     complement,
@@ -124,6 +128,17 @@ class TestTrace:
         steps = trace(SC231, (2, 1, 3), record_stacks=False)
         assert all(s.stack_after is None for s in steps)
 
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_matches_reference_step_for_step(self, spec):
+        # kind, value and stack after each step, against the backtracking decider
+        for n in range(6):
+            for p in all_permutations(n):
+                steps = trace(spec, p)
+                assert steps == trace_reference(spec, p), p
+                assert trace(spec, p, record_stacks=False) == [
+                    TraceStep(s.kind, s.value, None) for s in steps
+                ], p
+
 
 class TestEngineAgreement:
     """The compiled runners agree with the reference decider on every machine
@@ -140,14 +155,14 @@ class TestEngineAgreement:
         else:
             pat = vincular(body, (1,))
         spec = machine_of([pat])
-        assert run(spec, p) == output_of_trace(trace(spec, p))
+        assert run(spec, p) == output_of_trace(trace_reference(spec, p))
 
     @given(permutations_up_to(6), pattern_bodies(3), pattern_bodies(3))
     @settings(max_examples=80, deadline=None)
     def test_multi_pattern_machines(self, p, b1, b2):
         for maker in (consecutive_machine, classical_machine):
             spec = maker(b1, b2)
-            assert run(spec, p) == output_of_trace(trace(spec, p))
+            assert run(spec, p) == output_of_trace(trace_reference(spec, p))
 
     @given(permutations_up_to(7), pattern_bodies(4))
     @settings(max_examples=150, deadline=None)
@@ -202,7 +217,7 @@ class TestScan:
             perms = list(all_permutations(n))
             expected = [run(spec, p) for p in perms]
             for p, image in zip(perms, expected):
-                assert image == output_of_trace(trace(spec, p, record_stacks=False))
+                assert image == output_of_trace(trace_reference(spec, p, record_stacks=False))
             assert list(scan(spec, n)) == expected
             for first in range(1, n + 1):
                 assert list(scan(spec, n, (first,))) == [
@@ -350,7 +365,7 @@ class TestImageMap:
 def _agrees_with_trace(spec, max_n):
     for n in range(max_n + 1):
         for p in all_permutations(n):
-            assert run(spec, p) == output_of_trace(trace(spec, p, record_stacks=False)), p
+            assert run(spec, p) == output_of_trace(trace_reference(spec, p, record_stacks=False)), p
 
 
 def _scan_agrees_with_trace(spec, runner, max_n=7):
@@ -358,7 +373,8 @@ def _scan_agrees_with_trace(spec, runner, max_n=7):
     assert _compiled_runner(spec).__name__ == runner
     for n in range(max_n + 1):
         assert list(scan(spec, n)) == [
-            output_of_trace(trace(spec, p, record_stacks=False)) for p in all_permutations(n)
+            output_of_trace(trace_reference(spec, p, record_stacks=False))
+            for p in all_permutations(n)
         ]
 
 
@@ -376,7 +392,7 @@ MIXED_MACHINES = [
 
 class TestGeneratedDecider:
     """The generated machine body, behind ``run_consecutive`` and
-    ``run_generic``, agrees with the reference decider of ``trace``."""
+    ``run_generic``, agrees with the reference decider of ``trace_reference``."""
 
     @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))),
                              ids=lambda body: "".join(map(str, body)))
@@ -446,32 +462,19 @@ class TestGeneratedDecider:
                   (n - 1,) + identity(n - 2) + (n,)]
         for spec in specs:
             for p in inputs:
-                assert run(spec, p) == output_of_trace(trace(spec, p)), (spec, p)
+                assert run(spec, p) == output_of_trace(trace_reference(spec, p)), (spec, p)
 
-    def test_compiled_feeds_never_call_the_reference(self, monkeypatch):
-        # nor do contains and pattern_avoiders, which run the generated search
-        from stacksorting import machine, permutations
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("compiled feed used the reference search")
-
-        def outcomes(spec):
-            return ([run(spec, p) for p in all_permutations(6)],
-                    [[contains(p, q) for q in spec.forbidden] for p in all_permutations(6)],
-                    list(permutations.pattern_avoiders(6, spec.forbidden)))
-
-        expected = {spec: outcomes(spec) for spec in list(JOBS_MACHINES.values()) + MIXED_MACHINES}
-        monkeypatch.setattr(machine, "_push_blocked_reference", refuse)
-        monkeypatch.setattr(permutations, "_occurrence_search", refuse)
-        caches = (_compiled_feed, _prefix_feed, _compiled_runner)
-        for cached in caches:
-            cached.cache_clear()
-        try:
-            for spec, results in expected.items():
-                assert outcomes(spec) == results
-        finally:
-            for cached in caches:
-                cached.cache_clear()
+    def test_compiled_feeds_never_call_the_reference(self):
+        # the backtracking decider lives in the tests only, so no engine (nor
+        # contains, pattern_avoiders or trace) can fall back to it
+        modules = [stacksorting] + [
+            importlib.import_module(f"stacksorting.{info.name}")
+            for info in pkgutil.iter_modules(stacksorting.__path__)
+        ]
+        assert {"stacksorting.machine", "stacksorting.permutations"} <= {m.__name__ for m in modules}
+        for module in modules:
+            for name in ("_push_blocked_reference", "occurs_with_first_entry", "_occurrence_search"):
+                assert not hasattr(module, name), (module.__name__, name)
 
 
 class TestIdentities:
@@ -565,11 +568,11 @@ class TestPremature:
 
     @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
     def test_matches_pops_before_last_push_in_trace(self, spec):
-        # the reference route: the pops that trace records before the n-th push
+        # the reference route: the pops that trace_reference records before the n-th push
         for n in range(7):
             for p in all_permutations(n):
                 early, pushes = [], 0
-                for step in trace(spec, p, record_stacks=False):
+                for step in trace_reference(spec, p, record_stacks=False):
                     if step.kind == "push":
                         pushes += 1
                     elif pushes < n:

@@ -8,6 +8,8 @@ from conftest import (
     avoiders_reference,
     contains_reference,
     every_machine_shape,
+    occurs_brute,
+    occurs_with_first_entry,
     pattern_bodies,
     permutations_up_to,
 )
@@ -191,6 +193,15 @@ class TestGeneratedSearch:
             for q in patterns:
                 assert [contains(h, q) for h in hosts] == [contains_reference(h, q) for h in hosts]
             assert list(pattern_avoiders(n, patterns)) == avoiders_reference(n, patterns)
+
+    def test_reference_matches_brute_force(self):
+        # the backtracking decider itself, against trying every choice of positions
+        patterns = dict.fromkeys(q for spec in every_machine_shape() for q in spec.forbidden)
+        assert len(patterns) == 94
+        for n in range(1, 7):
+            for host in all_permutations(n):
+                for q in patterns:
+                    assert occurs_with_first_entry(host, q) == occurs_brute(host, q), (host, q)
 
     def test_no_patterns_gives_every_permutation(self):
         for n in range(6):
