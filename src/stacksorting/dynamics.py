@@ -10,9 +10,9 @@ rank.
 Complement reverses lexicographic order, rank(pi^c) = n! - 1 - rank(pi), and
 SC_{sigma^c}(pi^c) = SC_sigma(pi)^c, so the masks of sigma^c are those of
 sigma reversed.  ``general-periodic`` takes one route for any set of
-patterns: each symmetry class {sigma, rev sigma, sigma^c, rev sigma^c} gets
-one avoider tree, since sigma and rev sigma expect the same set, and one
-image map per complement pair asked for.
+patterns: one image map per complement pair asked for, and one reversal on
+the ranks per n, from which the first map of each symmetry class {sigma,
+rev sigma, sigma^c, rev sigma^c} gives the class its expected periodic points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from math import factorial
-from operator import gt, lt
+from operator import and_, eq, gt, itemgetter, lt
 from typing import Callable, Iterable, Sequence
 
 from . import bounds, preimages, sequences, sortable
@@ -40,9 +40,7 @@ from .permutations import (
     Perm,
     all_permutations,
     complement,
-    consecutive,
     format_permutation,
-    pattern_avoiders,
     reverse,
 )
 
@@ -331,12 +329,38 @@ def probe_general_periodic(
     return _general_periodic([tuple(sigma)], n)[0]
 
 
+def _reversal_ranks(n: int) -> array:
+    """Reversal on the ranks of S_n, an involution: entry r is the rank of the
+    reverse of the rank-r permutation.
+
+    >>> list(_reversal_ranks(3))
+    [5, 3, 4, 1, 2, 0]
+    """
+    backwards = itemgetter(slice(None, None, -1))  # reverse, without a Python call
+    return array("i", map(_ranker(n), map(backwards, all_permutations(n))))
+
+
+def _expected_periodic(image: array, rev: array) -> bytearray:
+    """The mask of the avoiders of sigma and rev sigma as consecutive patterns,
+    read off the image map of SC_sigma and the reversal on its ranks: pi
+    avoids rev sigma when SC_sigma(pi) = pi^r, and sigma when SC_sigma(pi^r) = pi
+    (see ``_general_periodic``)."""
+    reversed_out = bytes(map(eq, image, rev))  # the avoiders of rev sigma
+    return bytearray(map(and_, reversed_out, map(reversed_out.__getitem__, rev)))
+
+
 def _general_periodic(sigmas: Sequence[Perm], n: int) -> list[ConjectureReport]:
     """The general-periodic report of each sigma on S_n, in order, computed per
     symmetry class {sigma, rev sigma, sigma^c, rev sigma^c}.
 
     The conjectured periodic points of SC_sigma are the avoiders of sigma and
-    rev sigma as consecutive patterns, so one avoider tree serves the class.
+    rev sigma as consecutive patterns, the same set for sigma and rev sigma,
+    and the first image map built in the class gives it.  Until its first pop
+    the machine's stack, read from the top, is pi_i, pi_{i-1}, ..., pi_1, so
+    a push is first blocked exactly at a consecutive occurrence of rev sigma
+    in pi; a pop before the drain puts an entry pushed before pi_n first in
+    the output.  Hence pi avoids rev sigma exactly when SC_sigma(pi) = pi^r,
+    and avoids sigma exactly when SC_sigma(pi^r) = pi (``_expected_periodic``).
     sigma^c and rev sigma^c need no image map: complement reverses the rank
     order and conjugates the machine, so their masks are those of sigma and
     rev sigma reversed, with the same cycle lengths.  A member of {sigma,
@@ -345,18 +369,20 @@ def _general_periodic(sigmas: Sequence[Perm], n: int) -> list[ConjectureReport]:
     if any(len(sigma) < 3 for sigma in sigmas):
         raise ValueError("the periodic-point conjecture concerns patterns of length >= 3")
     asked = set(sigmas)
+    rev = _reversal_ranks(n)
     reports: dict[Perm, ConjectureReport] = {}
     for sigma in sigmas:
         if sigma in reports:
             continue
-        avoiders = pattern_avoiders(n, [consecutive(sigma), consecutive(reverse(sigma))])
-        expected = _mask(factorial(n), map(_ranker(n), avoiders))
-        mirrored = expected[::-1]
+        expected = mirrored = None
         # for some sigma, rev sigma is sigma^c and already reported
         for s in (sigma, reverse(sigma)):
             if s in reports or not asked & {s, complement(s)}:
                 continue
             image = image_map(consecutive_machine(s), n)
+            if expected is None:
+                expected = _expected_periodic(image, rev)
+                mirrored = expected[::-1]
             live = _cyclic_ranks(image)
             periods = sorted(
                 _cycle_lengths(image.__getitem__, itertools.compress(itertools.count(), live))

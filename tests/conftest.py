@@ -54,7 +54,7 @@ def no_scan(monkeypatch):
         raise AssertionError("scanned before the bound check")
 
     monkeypatch.setattr(dynamics, "image_map", scan)
-    monkeypatch.setattr(dynamics, "pattern_avoiders", scan)
+    monkeypatch.setattr(dynamics, "_reversal_ranks", scan)
     monkeypatch.setattr(sortable, "count_sortable", scan)
     monkeypatch.setattr(sortable, "count_sortable_pair", scan)
     monkeypatch.setattr(preimages, "image_tally", scan)

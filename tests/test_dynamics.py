@@ -8,7 +8,7 @@ import pytest
 
 from conftest import avoiders_reference, cyclic_ranks_reference, every_machine_shape
 from stacksorting.bounds import ResourceBoundError
-from stacksorting import dynamics
+from stacksorting import dynamics, permutations
 from stacksorting.dynamics import (
     CONJECTURE_NAMES,
     ConjectureReport,
@@ -58,6 +58,12 @@ SC132 = consecutive_machine((1, 3, 2))
 SC321 = consecutive_machine((3, 2, 1))
 S132 = classical_machine((1, 3, 2))
 S312 = classical_machine((3, 1, 2))
+
+
+def rank_mask(n, perms):
+    """The mask by rank of the given permutations of [n]."""
+    return dynamics._mask(factorial(n), map(rank, perms))
+
 
 EXPECTED = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
 
@@ -282,14 +288,12 @@ class TestProbes:
         # drop the first four avoiders and merge in the first three other
         # permutations, in order: the dropped ones are unexpected periodic
         # points, the added ones missing, and the details stay those of S_6
-        from stacksorting import dynamics
-
         sigma, n = (1, 3, 2), 6
         real = list(pattern_avoiders(n, [consecutive(sigma), consecutive((2, 3, 1))]))
         extra = [p for p in all_permutations(n) if p not in real][:3]
         streamed = sorted(real[4:] + extra)
         details = probe_general_periodic(sigma, n).details
-        monkeypatch.setattr(dynamics, "pattern_avoiders", lambda n, pats: iter(streamed))
+        monkeypatch.setattr(dynamics, "_expected_periodic", lambda image, rev: rank_mask(n, streamed))
         r = probe_general_periodic(sigma, n)
         assert not r.holds and r.details == details
         assert r.witnesses == tuple(
@@ -306,23 +310,25 @@ class TestProbes:
         assert run_conjecture("general-periodic", 6) == _aggregate("general-periodic", 6, alone)
 
     def test_general_periodic_mirrors_witnesses_for_the_complement(self, monkeypatch):
-        # a doctored avoider stream for the class of 132 at n = 6, and its
+        # a doctored expected set for the class of 132 at n = 6, and its
         # complement for 312 and 213 on their own: the shared route builds
         # only the first, and mirrors it for 312 and 213
         n = 6
-        pair = {consecutive((1, 3, 2)), consecutive((2, 3, 1))}
-        pair_c = {consecutive((3, 1, 2)), consecutive((2, 1, 3))}
+        pair = [consecutive((1, 3, 2)), consecutive((2, 3, 1))]
         real = list(pattern_avoiders(n, pair))
         extra = [p for p in all_permutations(n) if p not in real][:3]
         streamed = sorted(real[4:] + extra)
-        doctored = {frozenset(pair): streamed, frozenset(pair_c): sorted(map(complement, streamed))}
+        doctored = {
+            bytes(rank_mask(n, real)): rank_mask(n, streamed),
+            bytes(rank_mask(n, map(complement, real))): rank_mask(n, map(complement, streamed)),
+        }
+        expected_periodic = dynamics._expected_periodic
 
-        def avoiders(m, pats):
-            if m == n and frozenset(pats) in doctored:
-                return iter(doctored[frozenset(pats)])
-            return pattern_avoiders(m, pats)
+        def doctor(image, rev):
+            mask = expected_periodic(image, rev)
+            return doctored.get(bytes(mask), mask)
 
-        monkeypatch.setattr(dynamics, "pattern_avoiders", avoiders)
+        monkeypatch.setattr(dynamics, "_expected_periodic", doctor)
         alone = [probe_general_periodic(s, m) for s in SIGMAS for m in range(1, n + 1)]
         for m in range(1, n + 1):
             shared = _general_periodic(SIGMAS, m)
@@ -337,18 +343,20 @@ class TestProbes:
                for p in sorted(map(complement, extra))]
         )
 
-    @pytest.mark.parametrize("sigma, maps, trees", [
+    @pytest.mark.parametrize("sigma, maps, classes", [
         (None, 15, 10),
         ((1, 3, 2), 1, 1),
         ((1, 2, 3), 1, 1),
         ((1, 2, 4, 3), 1, 1),
         ((2, 4, 1, 3), 1, 1),
     ])
-    def test_general_periodic_builds_per_pair_and_class(self, monkeypatch, sigma, maps, trees):
-        # for each m: one image map per complement pair and one avoider tree
-        # per symmetry class; with a sigma, one of each, whether rev sigma is
-        # sigma^c (123, 2413) or not (132, 1243)
-        calls = {"image_map": 0, "pattern_avoiders": 0}
+    def test_general_periodic_builds_per_pair_and_class(self, monkeypatch, sigma, maps, classes):
+        # for each m: one image map per complement pair, one expected mask per
+        # symmetry class read off its first map, one reversal on the ranks and
+        # no avoider tree; with a sigma, one map, whether rev sigma is sigma^c
+        # (123, 2413) or not (132, 1243)
+        assert not hasattr(dynamics, "pattern_avoiders")
+        calls = {"image_map": 0, "_expected_periodic": 0, "_reversal_ranks": 0}
 
         def counted(name):
             real = getattr(dynamics, name)
@@ -360,8 +368,28 @@ class TestProbes:
 
         for name in calls:
             monkeypatch.setattr(dynamics, name, counted(name))
+
+        def no_tree(*args):
+            raise AssertionError("built an avoider tree")
+
+        monkeypatch.setattr(permutations, "_avoider_tree", no_tree)
         run_conjecture("general-periodic", 4, sigma=sigma)
-        assert calls == {"image_map": 4 * maps, "pattern_avoiders": 4 * trees}
+        assert calls == {"image_map": 4 * maps, "_expected_periodic": 4 * classes,
+                         "_reversal_ranks": 4}
+
+    @pytest.mark.parametrize("k, m_max", [(2, 7), (3, 7), (4, 7), (5, 6)])
+    def test_expected_periodic_is_the_avoider_mask(self, k, m_max):
+        # pi avoids rev sigma exactly when SC_sigma(pi) = pi^r, and sigma
+        # exactly when SC_sigma(pi^r) = pi: the image map gives the avoiders
+        # of {sigma, rev sigma} that the avoider tree lists
+        for m in range(m_max + 1):
+            rev = dynamics._reversal_ranks(m)
+            for sigma in itertools.permutations(range(1, k + 1)):
+                pair = [consecutive(sigma), consecutive(sigma[::-1])]
+                image = image_map(consecutive_machine(sigma), m)
+                assert dynamics._expected_periodic(image, rev) == rank_mask(
+                    m, pattern_avoiders(m, pair)
+                )
 
     @pytest.mark.parametrize("sigma", SIGMAS, ids=format_permutation)
     def test_general_periodic_details_by_periodic_points(self, sigma):
@@ -513,6 +541,12 @@ class TestUnrank:
         for r in itertools.chain(range(0, factorial(10), 997), [factorial(10) - 1]):
             assert ranker(_unrank(10, r)) == r
         assert rank(_unrank(10, 1234567)) == 1234567
+
+    def test_reversal_ranks_rank_each_reverse(self):
+        for n in range(8):
+            rev = dynamics._reversal_ranks(n)
+            assert list(rev) == [rank(_unrank(n, r)[::-1]) for r in range(factorial(n))]
+            assert [rev[x] for x in rev] == list(range(factorial(n)))
 
     @pytest.mark.parametrize("n, r", [(3, -1), (3, 6), (0, 1)])
     def test_out_of_range_rejected(self, n, r):
