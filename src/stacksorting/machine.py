@@ -111,10 +111,19 @@ def run(spec: MachineSpec, perm: Sequence[int]) -> Perm:
 _SUFFIX = 4
 
 
-def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[Perm]:
+def scan(
+    spec: MachineSpec, n: int, prefix: Sequence[int] = (), skip: Callable | None = None
+) -> Iterator[Perm]:
     """The image of every permutation of [n] starting with ``prefix``, in the
     lexicographic order of the permutations: the i-th image is that of the
     i-th permutation of ``all_permutations`` with that prefix.
+
+    With ``skip``, each head (the first n - _SUFFIX entries, or the prefix when
+    longer) is tested once it is fed, on its forced word: its output followed
+    by its stack read top-down, which every image under the head holds as a
+    subsequence, since the output is fixed and the stack empties from the top.
+    A head that passes is skipped with all its tails, so the positions above
+    no longer hold, and only order-free folds may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -133,6 +142,8 @@ def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[Perm
         head_stack = stack.copy()
         head_out = out.copy()
         feed(head_stack, head_out, head)
+        if skip is not None and skip(head_out + head_stack[::-1]):
+            continue
         for tail in itertools.permutations([v for v in rest if v not in head]):
             s = head_stack.copy()
             o = head_out.copy()
@@ -189,44 +200,52 @@ def image_map(spec: MachineSpec, n: int) -> array:
     return array("i", map(_ranker(n), scan(spec, n)))
 
 
-def scan_reduce(spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1) -> Iterator:
-    """``reduce`` of each first-entry partition of S_n, ``scan(spec, n, (first,))``
+def scan_reduce(
+    spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1, skip: Callable | None = None
+) -> Iterator:
+    """``reduce`` of each first-entry partition of S_n, ``scan(spec, n, (first,), skip)``
     for first = 1..n in that order (one part, all of S_n, when n <= 1).
 
     ``jobs`` changes where the partitions run, not the results: with ``jobs > 1``
     and n >= 2, in a process pool of at most one worker per partition, where
-    ``reduce`` must pickle (a module-level function or ``Counter``); it goes to each
-    worker once, as the worker starts, and each task names only its first entry.
-    Each result is yielded once it and those before it are done, so that the caller
-    can fold it in before the next.  ``jobs < 1`` raises ``ValueError`` at the call.
+    ``reduce`` and ``skip`` must pickle (a module-level function or ``Counter``);
+    they go to each worker once, as the worker starts, and each task names only
+    its first entry.  Each result is yielded once it and those before it are
+    done, so that the caller can fold it in before the next.  ``jobs < 1``
+    raises ``ValueError`` at the call.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
-    return _partition_results(spec, n, reduce, jobs)
+    return _partition_results(spec, n, reduce, jobs, skip)
 
 
-def _partition_results(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iterator:
+def _partition_results(
+    spec: MachineSpec, n: int, reduce: Callable, jobs: int, skip: Callable | None
+) -> Iterator:
     prefixes = [(first,) for first in range(1, n + 1)] or [()]
     if jobs > 1 and n >= 2:
+        initargs = (reduce,) if skip is None else (reduce, skip)
         with ProcessPoolExecutor(
-            max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=(reduce,)
+            max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=initargs
         ) as pool:
             yield from pool.map(_reduce_partition, [(spec, n, p) for p in prefixes])
     else:
-        yield from (reduce(scan(spec, n, p)) for p in prefixes)
+        yield from (reduce(scan(spec, n, p, skip)) for p in prefixes)
 
 
-_worker_reduce: Callable | None = None  # a pool worker's reducer, set as it starts
+# a pool worker's reducer and head test, set as it starts
+_worker_reduce: Callable | None = None
+_worker_skip: Callable | None = None
 
 
-def _set_worker_reduce(reduce: Callable) -> None:
-    global _worker_reduce
-    _worker_reduce = reduce
+def _set_worker_reduce(reduce: Callable, skip: Callable | None = None) -> None:
+    global _worker_reduce, _worker_skip
+    _worker_reduce, _worker_skip = reduce, skip
 
 
 def _reduce_partition(task) -> object:
     spec, n, prefix = task
-    return _worker_reduce(scan(spec, n, prefix))
+    return _worker_reduce(scan(spec, n, prefix, _worker_skip))
 
 
 # ---------------------------------------------------------------------------

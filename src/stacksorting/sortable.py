@@ -4,14 +4,20 @@ A permutation is sortable by a machine when the machine's output avoids 231
 classically, i.e. when a subsequent pass through the classic increasing stack
 yields the identity (Knuth, TAOCP Vol. 1, 2.2.1).  Those outputs are
 Catalan-many: ``count_sortable`` builds Av_n(231) once per call, C_n tuples
-(16,796 at n = 10, 208,012 at n = 12) against the n! images it scans, and
-counts the images that are members.
+(16,796 at n = 10, 208,012 at n = 12), and looks up in it each image it
+scans.
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
 SC_{sigma^c}(pi^c) = SC_sigma(pi)^c.  So pi^c is sortable by SC_{sigma^c}
 exactly when SC_sigma(pi) avoids 213, the complement of 231, and one scan of
 S_n counts the sortable sets of both machines (``count_sortable_pair``).
+
+That scan need not reach every image.  Once the head of a permutation (all
+but its last four entries) is fed, every image under the head holds the
+head's output followed by its stack read top-down as a subsequence.  When
+that word contains both 231 and 213, no image under the head counts for
+either machine, and the scan skips the head's tails.
 """
 
 from __future__ import annotations
@@ -106,27 +112,39 @@ def _weigh(weights: dict[Perm, int], images: Iterable[Perm]) -> int:
     return sum(map(weights.get, images, itertools.repeat(0)))
 
 
+def _holds_231_and_213(top: int, word: Sequence[int]) -> bool:
+    """Does the word, of values below ``top``, contain both 231 and 213?  Then
+    so does every permutation holding it as a subsequence, of weight 0 in
+    ``_membership_weights``; 213 is 231 in the complement ``top - v``."""
+    return not avoids_231(word) and not avoids_231([top - v for v in word])
+
+
 def count_sortable_pair(
     spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND, jobs: int = 1
 ) -> tuple[int, int]:
     """The sortable counts over S_n of the machine and of its complement (each
-    forbidden body complemented, adjacency unchanged), from one full scan;
+    forbidden body complemented, adjacency unchanged), from one scan;
     partition-parallel when jobs > 1.
 
-    Each of the n! images is looked up once in a dict over Av_n(231) and
-    Av_n(213), built for the call: 2 C_n - 2^(n-1) entries for n >= 1, as
-    2^(n-1) permutations avoid both; 33,080 at n = 10.
+    The scan skips every head whose forced word (see ``scan``) contains both
+    231 and 213, as no image under it avoids either.  Each image left is
+    looked up once in a dict over Av_n(231) and Av_n(213), built for the call:
+    2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1) permutations avoid both;
+    33,080 at n = 10.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     weigh = functools.partial(_weigh, _membership_weights(n))
-    complement_count, count = divmod(sum(scan_reduce(spec, n, weigh, jobs)), factorial(n) + 1)
+    dead = functools.partial(_holds_231_and_213, n + 1)
+    total = sum(scan_reduce(spec, n, weigh, jobs, dead))
+    complement_count, count = divmod(total, factorial(n) + 1)
     return count, complement_count
 
 
 def count_sortable(
     spec: MachineSpec, n: int, max_n: int = bounds.SCAN_BOUND, jobs: int = 1
 ) -> int:
-    """|{p in S_n : sortable}| by a full scan; partition-parallel when jobs > 1."""
+    """|{p in S_n : sortable}|, the first of ``count_sortable_pair``; partition-
+    parallel when jobs > 1."""
     return count_sortable_pair(spec, n, max_n=max_n, jobs=jobs)[0]
 
 

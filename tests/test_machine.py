@@ -289,6 +289,49 @@ class TestScan:
         assert recording_pool["tasks"] == [[(SC231, 4, (first,)) for first in range(1, 5)]]
         assert sum(parts, Counter()) == image_tally(SC231, 4)
 
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_images_hold_the_forced_word_of_each_head(self, spec):
+        # a head's output is fixed and its stack empties from the top, so its
+        # image on its own (output, then stack top-down) is a subsequence of
+        # the image of every permutation that starts with it
+        for n in range(7):
+            for p, image in zip(all_permutations(n), scan(spec, n)):
+                for k in range(n + 1):
+                    rest = iter(image)
+                    assert all(v in rest for v in run(spec, p[:k])), (p, k)
+
+    @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
+    def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
+        # the head is all but the last four entries, or the prefix when
+        # longer, and the word the test sees is its image on its own
+        def skip(word):
+            return sum(word) % 3 == 1
+
+        seen = set()
+        for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
+            for n in range(max(prefix, default=0), 8):
+                head = max(n - 4, len(prefix))
+                perms = [p for p in all_permutations(n) if p[:len(prefix)] == prefix]
+                skipped = [skip(run(spec, p[:head])) for p in perms]
+                seen.update(skipped)
+                assert list(scan(spec, n, prefix, skip)) == [
+                    run(spec, p) for p, dead in zip(perms, skipped) if not dead]
+        assert seen == {False, True}
+
+    def test_skip_goes_to_each_worker_beside_the_reducer(self, recording_pool):
+        def skip(word):
+            return word[:1] == [1]
+
+        parts = list(scan_reduce(SC231, 7, Counter, jobs=2, skip=skip))
+        assert parts == list(scan_reduce(SC231, 7, Counter, skip=skip))
+        assert parts == [Counter(scan(SC231, 7, (first,), skip)) for first in range(1, 8)]
+        assert sum(parts, Counter()) != image_tally(SC231, 7)
+        # a later pool with no skip scans every head again
+        assert list(scan_reduce(SC231, 7, Counter, jobs=2)) == [
+            Counter(scan(SC231, 7, (first,))) for first in range(1, 8)]
+        assert recording_pool["initargs"] == [(Counter, skip), (Counter,)]
+        assert recording_pool["tasks"] == [[(SC231, 7, (first,)) for first in range(1, 8)]] * 2
+
 
 @pytest.fixture
 def recording_pool(monkeypatch):

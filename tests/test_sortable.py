@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,13 @@ SC132 = consecutive_machine((1, 3, 2))
 SC123 = consecutive_machine((1, 2, 3))
 SC321 = consecutive_machine((3, 2, 1))
 CLASSIC = classical_machine((2, 1))
+# the shapes with bodies of length <= 3, but for the six consecutive machines
+# of length 3, which the tests at n = 8 run on their own
+SHORT_SHAPES = [
+    s for s in every_machine_shape()
+    if len(s.forbidden[0].body) <= 3
+    and s not in map(consecutive_machine, itertools.permutations((1, 2, 3)))
+]
 
 
 class TestAvoids231:
@@ -172,6 +180,33 @@ class TestCounts:
         assert count_sortable_pair(spec, 8, jobs=jobs) == (
             count_sortable_reference(spec, 8),
             count_sortable_reference(complement_machine(spec), 8))
+
+    @pytest.mark.parametrize(
+        "spec, jobs",
+        [(s, 1) for s in SHORT_SHAPES]
+        + [(s, 2) for s in SHORT_SHAPES if s.forbidden[0].body == (2, 3, 1)],
+        ids=str)
+    def test_pruned_pair_matches_reference_folds_at_8(self, spec, jobs):
+        # from n = 8 a head's forced word has four entries, enough to hold
+        # both 231 and 213, so the scan behind the pair starts to skip heads
+        assert count_sortable_pair(spec, 8, jobs=jobs) == (
+            count_sortable_reference(spec, 8),
+            count_sortable_reference(complement_machine(spec), 8))
+
+    def test_the_prune_fires(self, monkeypatch):
+        # the pair folds fewer than 8! images of SC_123; the scan has them all
+        reduced = []
+
+        def weigh(weights, images):
+            images = list(images)
+            reduced.append(len(images))
+            return sum(weights.get(image, 0) for image in images)
+
+        monkeypatch.setattr(sortable, "_weigh", weigh)
+        assert count_sortable_pair(SC123, 8) == (
+            count_sortable_reference(SC123, 8), count_sortable_reference(SC321, 8))
+        assert len(reduced) == 8 and sum(reduced) < factorial(8)
+        assert sum(1 for _ in scan(SC123, 8)) == factorial(8)
 
     def test_jobs_partition_agrees(self):
         assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
