@@ -339,12 +339,13 @@ def cmd_seq(name, upto, bfile, fmt, unsafe_n):
         for line in table.bfile_lines():
             click.echo(line)
     elif fmt == "json":
-        _echo_json({"name": table.name, "offset": table.offset,
+        # every table starts at n = 0; sequence.schema.json requires the field
+        _echo_json({"name": table.name, "offset": 0,
                     "values": list(table.values)})
     elif fmt == "csv":
         click.echo("n,value")
         for i, v in enumerate(table.values):
-            click.echo(f"{table.offset + i},{v}")
+            click.echo(f"{i},{v}")
     else:
         click.echo(", ".join(str(v) for v in table.values))
 

@@ -21,8 +21,7 @@ import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from math import factorial
-from operator import and_, eq, gt, itemgetter, lt
+from operator import and_, eq, gt, itemgetter, lt, not_
 from typing import Callable, Iterable, Sequence
 
 from . import bounds, preimages, sequences, sortable
@@ -41,6 +40,7 @@ from .permutations import (
     all_permutations,
     complement,
     format_permutation,
+    is_vee_shaped,
     reverse,
 )
 
@@ -240,26 +240,12 @@ class ConjectureReport:
         }
 
 
-def _bent_mask(n: int) -> bytearray:
-    """The mask of the permutations of [n], n >= 1, that are not V-shaped.
-
-    A V-shaped permutation has 1 at its valley, and each other value goes to
-    its left, where they descend, or to its right, where they ascend: the
-    2^(n-1) subsets of {2, .., n} that go left pick them.
-    """
-    mask = bytearray(b"\x01") * factorial(n)
-    for k in range(n):
-        for left in itertools.combinations(range(n, 1, -1), k):
-            mask[rank((*left, 1, *(v for v in range(2, n + 1) if v not in left)))] = 0
-    return mask
-
-
 def _orbit_probe(spec: MachineSpec, n: int, max_n: int, what: str) -> tuple[array, bytearray]:
     """The image map of S_n and the mask of its ranks that are not V-shaped."""
     if n < 3:
         raise ValueError("n must be >= 3")
     bounds.check_scan_bound(n, max_n, what)
-    return image_map(spec, n), _bent_mask(n)
+    return image_map(spec, n), bytearray(map(not_, map(is_vee_shaped, all_permutations(n))))
 
 
 def _orbit_report(

@@ -125,14 +125,14 @@ def binomial_transform(seq: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """A named integer sequence with an offset, for goldens and b-file export."""
+    """A named integer sequence, its values for n = 0, 1, ..., for goldens and
+    b-file export."""
 
     name: str
-    offset: int
     values: tuple[int, ...]
 
     def bfile_lines(self) -> list[str]:
-        return [f"{self.offset + i} {v}" for i, v in enumerate(self.values)]
+        return [f"{i} {v}" for i, v in enumerate(self.values)]
 
 
 def _each(fn: Callable[[int], int]) -> Callable[[int], Sequence[int]]:
@@ -169,4 +169,4 @@ def named_sequence(
     else:
         raise ValueError(f"unknown sequence name: {name!r}")
     bounds.check_scan_bound(upto, max_upto, "seq --upto")
-    return SequenceTable(name, 0, tuple(table(upto)))
+    return SequenceTable(name, tuple(table(upto)))

@@ -3,15 +3,15 @@
 A permutation is sortable by a machine when the machine's output avoids 231
 classically, i.e. when a subsequent pass through the classic increasing stack
 yields the identity (Knuth, TAOCP Vol. 1, 2.2.1).  Those outputs are
-Catalan-many: ``count_sortable`` builds Av_n(231) once per call, C_n tuples
-(16,796 at n = 10, 208,012 at n = 12), and looks up in it each image it
-scans.
+Catalan-many, C_n of them (16,796 at n = 10).
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
 SC_{sigma^c}(pi^c) = SC_sigma(pi)^c.  So pi^c is sortable by SC_{sigma^c}
 exactly when SC_sigma(pi) avoids 213, the complement of 231, and one scan of
-S_n counts the sortable sets of both machines (``count_sortable_pair``).
+S_n counts the sortable sets of both machines (``count_sortable_pair``).  It
+looks up each image it reaches in one dict over Av_n(231) and Av_n(213),
+built once per call: 2 C_n - 2^(n-1) entries (33,080 at n = 10).
 
 That scan need not reach every image.  Once the head of a permutation (all
 but its last four entries) is fed, every image under the head holds the
@@ -69,9 +69,9 @@ def sortable_members(
     """The sortable permutations of [n], lazily, in lexicographic order.
 
     The bound is checked at the call, not at the first ``next``.  Each image
-    is tested on its own with ``avoids_231`` rather than looked up in Av_n(231)
-    as ``count_sortable`` does, so that the first member costs no build of
-    C_n tuples (208,012 at n = 12).
+    is tested on its own with ``avoids_231`` rather than looked up in the dict
+    ``count_sortable`` builds, so that the first member costs no build of
+    2 C_n - 2^(n-1) entries (413,976 at n = 12).
     """
     bounds.check_scan_bound(n, max_n, "sortable_members")
     return itertools.compress(all_permutations(n), map(avoids_231, scan(spec, n)))
@@ -215,7 +215,7 @@ def structural_sortable_av132_rev(perm: Sequence[int], sigma: Sequence[int]) -> 
     sigma = as_permutation(sigma)
     if len(sigma) < 3:
         raise ValueError("pattern must have length >= 3")
-    if not contains(swap_first_two(sigma), classical((2, 3, 1))):
+    if avoids_231(swap_first_two(sigma)):
         raise ValueError(
             "characterization requires the first-two-swapped pattern to contain 231"
         )
@@ -343,7 +343,6 @@ def classify_sortable_set(sigma: Sequence[int]) -> SortableSetKind:
         return SortableSetKind.AV213_CLASS
     if sigma == (2, 1):
         return SortableSetKind.NOT_A_CLASS
-    p231 = classical((2, 3, 1))
-    if contains(sigma, p231) and contains(swap_first_two(sigma), p231):
+    if not avoids_231(sigma) and not avoids_231(swap_first_two(sigma)):
         return SortableSetKind.AV132_CLASS
     return SortableSetKind.NOT_A_CLASS

@@ -356,6 +356,32 @@ class TestSeqCommand:
         assert unsafe[1].rstrip().rsplit(", ", 1)[-1] == str(sequences.catalan(1100))
 
 
+class TestEmptyPermutation:
+    """The exhaustive commands on S_0, which holds only the empty permutation."""
+
+    @pytest.mark.parametrize("args, expected", [
+        (("sortable", "--pattern", "231", "--n", "0"), "1\n"),
+        (("sortable", "--pattern", "231", "--n", "0", "--list"), "\n"),
+        (("sortable", "--pattern", "231", "--n", "0", "--bfile"), "0 1\n"),
+        (("periodic", "--pattern", "231", "--n", "0"), "\n"),
+        (("periodic", "--pattern", "231", "--n", "0", "--count-only"), "1\n"),
+        (("fiber", "--pattern", "231", "--target", ""), "1\n\n"),
+    ])
+    def test_stdout(self, capsys, args, expected):
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0 and out == expected
+
+    # consecutive 231 tallies by parts of S_n, classical 21 all at once: the
+    # two branches of preimages._fiber_folds
+    @pytest.mark.parametrize("mode, pattern", [("consecutive", "231"), ("classical", "21")])
+    def test_max_fertility(self, capsys, mode, pattern):
+        args = ("max-fertility", "--mode", mode, "--pattern", pattern, "--n", "0")
+        assert invoke(capsys, *args)[:2] == (0, "1\n\n")
+        assert invoke(capsys, *args, "--format", "json")[:2] == (
+            0, '{"argmax": [""], "max_fertility": 1, "n": 0}\n'
+        )
+
+
 class TestReproduce:
     def test_truncated_table_matches(self, capsys):
         code, out, _ = invoke(capsys, "reproduce", "sortable", "--n-max", "5")

@@ -13,7 +13,6 @@ from stacksorting.dynamics import (
     CONJECTURE_NAMES,
     ConjectureReport,
     _aggregate,
-    _bent_mask,
     _cyclic_ranks,
     _general_periodic,
     _unrank,
@@ -273,10 +272,6 @@ class TestProbes:
             for kind, found in (("slow", slow[:1]), ("violation", bad[:1]))
             for p in found
         )
-
-    def test_bent_mask_by_rank_matches_is_vee_shaped(self):
-        for n in range(1, 10):
-            assert _bent_mask(n) == bytearray(not is_vee_shaped(p) for p in all_permutations(n))
 
     def test_general_periodic_s3(self):
         for sigma in itertools.permutations((1, 2, 3)):

@@ -32,3 +32,10 @@ def test_run_conjectures(monkeypatch, capsys):
 def test_reproduce_tables(monkeypatch, capsys):
     code = run_script(monkeypatch, "reproduce_tables.py", "--n-max", "5")
     assert code == 0 and capsys.readouterr().out.count("all rows match") == 2
+
+
+def test_probe_bounds_match_the_benchmark():
+    # the benchmark's probes workload times each conjecture at its default bound
+    bounds = runpy.run_path(str(SCRIPTS / "run_conjectures.py"))["DEFAULT_BOUNDS"]
+    sizes = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "run.py"))["SIZES"]
+    assert sizes["full"]["probes"] == bounds
