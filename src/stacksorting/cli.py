@@ -330,6 +330,8 @@ def cmd_class_check(pattern, brute_n):
 @unsafe_option
 def cmd_seq(name, upto, bfile, fmt, unsafe_n):
     """Print a reference integer sequence."""
+    if bfile and fmt not in ("plain", "bfile"):
+        raise click.UsageError(f"--bfile prints b-file lines; it cannot go with --format {fmt}")
     max_upto = upto if unsafe_n else bounds.SEQ_BOUND
     if unsafe_n and hasattr(sys, "set_int_max_str_digits"):
         # past Python's default digit limit the values could not be printed

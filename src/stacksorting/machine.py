@@ -122,8 +122,11 @@ def scan(
     longer) is tested once it is fed, on its forced word: its output followed
     by its stack read top-down, which every image under the head holds as a
     subsequence, since the output is fixed and the stack empties from the top.
-    A head that passes is skipped with all its tails, so the positions above
-    no longer hold, and only order-free folds may pass ``skip``.
+    A head that passes is skipped with all its tails.  When _SUFFIX entries
+    follow a head that fails, each first tail entry is fed after it on its
+    own and tested the same way, and only the entries that fail are followed
+    by the tails after them.  So the positions above no longer hold, and only
+    order-free folds may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -142,15 +145,34 @@ def scan(
         head_stack = stack.copy()
         head_out = out.copy()
         feed(head_stack, head_out, head)
+        tail = [v for v in rest if v not in head]
         if skip is not None and skip(head_out + head_stack[::-1]):
             continue
-        for tail in itertools.permutations([v for v in rest if v not in head]):
-            s = head_stack.copy()
-            o = head_out.copy()
-            feed(s, o, tail)
-            s.reverse()
-            o += s
-            yield tuple(o)
+        if skip is None or len(tail) < _SUFFIX:
+            forks = [(head_stack, head_out, tail)]
+        else:
+            forks = _live_forks(feed, head_stack, head_out, tail, skip)
+        for fork_stack, fork_out, fork_tail in forks:
+            for t in itertools.permutations(fork_tail):
+                s = fork_stack.copy()
+                o = fork_out.copy()
+                feed(s, o, t)
+                s.reverse()
+                o += s
+                yield tuple(o)
+
+
+def _live_forks(
+    feed: Callable, stack: list[int], out: list[int], tail: list[int], skip: Callable
+) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The machine state after each first entry of ``tail`` whose forced word
+    fails ``skip``, with the entries left to follow it."""
+    for first in tail:
+        s = stack.copy()
+        o = out.copy()
+        feed(s, o, (first,))
+        if not skip(o + s[::-1]):
+            yield s, o, [v for v in tail if v != first]
 
 
 def _ranker(n: int) -> Callable[[Perm], int]:

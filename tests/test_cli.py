@@ -309,6 +309,20 @@ class TestSeqCommand:
         lines = out.splitlines()
         assert code == 0 and lines[0] == "0 1" and lines[-1] == "9 835"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bfile_with_another_format_is_usage_error(self, capsys, fmt):
+        code, out, err = invoke(capsys, "seq", "--name", "motzkin", "--upto", "9",
+                                "--bfile", "--format", fmt)
+        assert code == 1 and out == "" and "--bfile" in err and f"--format {fmt}" in err
+
+    @pytest.mark.parametrize(
+        "args", [("--bfile",), ("--format", "bfile"), ("--bfile", "--format", "bfile"),
+                 ("--bfile", "--format", "plain")], ids=" ".join)
+    def test_bfile_spellings_print_the_same_lines(self, capsys, args):
+        code, out, _ = invoke(capsys, "seq", "--name", "motzkin", "--upto", "9", *args)
+        table = sequences.named_sequence("motzkin", 9)
+        assert code == 0 and out.splitlines() == list(table.bfile_lines())
+
     def test_plain(self, capsys):
         code, out, _ = invoke(capsys, "seq", "--name", "catalan", "--upto", "5")
         assert code == 0 and out.strip() == "1, 1, 2, 5, 14, 42"

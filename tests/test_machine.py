@@ -303,7 +303,8 @@ class TestScan:
     @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
     def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
         # the head is all but the last four entries, or the prefix when
-        # longer, and the word the test sees is its image on its own
+        # longer; the test sees its image on its own and, when four entries
+        # follow the head, the image of the head and one entry more
         def skip(word):
             return sum(word) % 3 == 1
 
@@ -311,12 +312,17 @@ class TestScan:
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
             for n in range(max(prefix, default=0), 8):
                 head = max(n - 4, len(prefix))
-                perms = [p for p in all_permutations(n) if p[:len(prefix)] == prefix]
-                skipped = [skip(run(spec, p[:head])) for p in perms]
-                seen.update(skipped)
-                assert list(scan(spec, n, prefix, skip)) == [
-                    run(spec, p) for p, dead in zip(perms, skipped) if not dead]
-        assert seen == {False, True}
+                depths = (0, 1) if n - head == 4 else (0,)
+                kept = []
+                for p in all_permutations(n):
+                    if p[:len(prefix)] != prefix:
+                        continue
+                    dropped_at = next((d for d in depths if skip(run(spec, p[:head + d]))), None)
+                    seen.add(dropped_at)
+                    if dropped_at is None:
+                        kept.append(run(spec, p))
+                assert list(scan(spec, n, prefix, skip)) == kept
+        assert seen == {None, 0, 1}
 
     def test_skip_goes_to_each_worker_beside_the_reducer(self, recording_pool):
         def skip(word):

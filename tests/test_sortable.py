@@ -155,10 +155,13 @@ class TestCounts:
         with pytest.raises(ResourceBoundError):
             count_sortable(SC231, 20)
 
-    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
-    def test_matches_reference_fold(self, spec):
+    @pytest.mark.parametrize(
+        "spec, jobs",
+        [pytest.param(s, 1, id=str(s)) for s in every_machine_shape()]
+        + [pytest.param(s, 2, id=f"{s}-jobs2") for s in every_machine_shape()])
+    def test_matches_reference_fold(self, spec, jobs):
         for n in range(7):
-            assert count_sortable(spec, n) == count_sortable_reference(spec, n)
+            assert count_sortable(spec, n, jobs=jobs) == count_sortable_reference(spec, n)
 
     @pytest.mark.parametrize("body", list(itertools.permutations((1, 2, 3))), ids=str)
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -207,6 +210,28 @@ class TestCounts:
             count_sortable_reference(SC123, 8), count_sortable_reference(SC321, 8))
         assert len(reduced) == 8 and sum(reduced) < factorial(8)
         assert sum(1 for _ in scan(SC123, 8)) == factorial(8)
+
+    def test_single_count_prunes_on_231_alone(self, monkeypatch):
+        # count_sortable skips every head whose forced word holds 231, more
+        # than the pair, which needs both 231 and 213, and builds no pair dict
+        folded = {}
+
+        def recording(fold):
+            def record(table, images):
+                images = list(images)
+                folded[fold.__name__] = folded.get(fold.__name__, 0) + len(images)
+                return fold(table, images)
+            return record
+
+        def no_weights(n):
+            raise AssertionError("built the pair's weights")
+
+        for name in ("_count_members", "_weigh"):
+            monkeypatch.setattr(sortable, name, recording(getattr(sortable, name)))
+        pair = count_sortable_pair(SC231, 8)
+        monkeypatch.setattr(sortable, "_membership_weights", no_weights)
+        assert count_sortable(SC231, 8) == pair[0] == count_sortable_reference(SC231, 8)
+        assert folded["_count_members"] < folded["_weigh"] < factorial(8)
 
     def test_jobs_partition_agrees(self):
         assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
