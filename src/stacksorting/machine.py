@@ -12,6 +12,13 @@ are consecutive and ``generic`` otherwise; ``trace`` runs it too, one input
 entry per call.  The tests check it against the independent routes: a
 backtracking reference decider (in the tests), ``stack_sort`` and the
 closed-form images of the monotone length-3 machines.
+
+``scan`` feeds each head of S_n once and resumes its state for every order of
+the last four entries.  Under a consecutive machine, once the heads are
+longer than the window of the stack a push reads, those images come from
+stored ``itemgetter`` programs instead (``_TailPrograms``): only the top few
+entries can ever move, and each image picks its values from them and the
+tail in a way that depends only on their order type.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
+from operator import add, call, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
@@ -118,15 +127,22 @@ def scan(
     lexicographic order of the permutations: the i-th image is that of the
     i-th permutation of ``all_permutations`` with that prefix.
 
-    With ``skip``, each head (the first n - _SUFFIX entries, or the prefix when
-    longer) is tested once it is fed, on its forced word: its output followed
-    by its stack read top-down, which every image under the head holds as a
-    subsequence, since the output is fixed and the stack empties from the top.
-    A head that passes is skipped with all its tails.  When _SUFFIX entries
-    follow a head that fails, each first tail entry is fed after it on its
-    own and tested the same way, and only the entries that fail are followed
-    by the tails after them.  So the positions above no longer hold, and only
-    order-free folds may pass ``skip``.
+    Each head (the first n - _SUFFIX entries, or the prefix when longer) is
+    fed once, and its state is resumed for each order of the entries left.
+    When every pattern is consecutive and the heads after the prefix hold
+    more entries than a push reads below it, the images come from the stored
+    programs of ``_TailPrograms``, one ``itemgetter`` call each; otherwise
+    each order is fed on a copy.
+
+    With ``skip``, each head is tested once it is fed, on its forced word:
+    its output followed by its stack read top-down, which every image under
+    the head holds as a subsequence, since the output is fixed and the stack
+    empties from the top.  A head that passes is skipped with all its tails.
+    When a pattern is not consecutive and _SUFFIX entries follow a head that
+    fails, each first tail entry is fed after it on its own and tested the
+    same way, and only the entries that fail are followed by the tails after
+    them.  So the positions above no longer hold, and only order-free folds
+    may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -138,6 +154,14 @@ def scan(
         raise ValueError(f"prefix must hold distinct values of 1..{n}: {prefix!r}")
     feed = _compiled_feed(spec.forbidden)
     rest = [v for v in range(1, n + 1) if v not in prefix]
+    consecutive = all(p.is_consecutive for p in spec.forbidden)
+    programs = None
+    if consecutive:
+        window = max(len(p.body) for p in spec.forbidden) - 1
+        # a head no longer than the window a push reads shows its whole stack
+        # in each key, so few heads share one: feeding the tails was faster
+        if len(rest) - _SUFFIX > window:
+            programs = _TailPrograms(feed, window)
     stack: list[int] = []
     out: list[int] = []
     feed(stack, out, prefix)
@@ -148,7 +172,10 @@ def scan(
         tail = [v for v in rest if v not in head]
         if skip is not None and skip(head_out + head_stack[::-1]):
             continue
-        if skip is None or len(tail) < _SUFFIX:
+        if programs is not None:
+            yield from programs.images(head_stack, head_out, tail)
+            continue
+        if skip is None or consecutive or len(tail) < _SUFFIX:
             forks = [(head_stack, head_out, tail)]
         else:
             forks = _live_forks(feed, head_stack, head_out, tail, skip)
@@ -173,6 +200,113 @@ def _live_forks(
         feed(s, o, (first,))
         if not skip(o + s[::-1]):
             yield s, o, [v for v in tail if v != first]
+
+
+class _TailPrograms:
+    """The images under a fed head of every order of its tail, for a machine
+    whose patterns are all consecutive and read at most ``window`` stack
+    entries below an incoming entry (the longest body less one).
+
+    A push pops the top entry v only through an occurrence that reads the
+    incoming entry, v and the window - 1 entries below v, and the entries below
+    the top move only by popping.  So an entry can be popped only when each
+    entry above it can be, and some tail value pushed right onto it pops it,
+    reading only its own window; ``_reach`` counts those top entries.  No
+    entry below the top reach + window - 1 moves or decides a pop, and they
+    end every image, reversed.  The rest of an image, its output after the
+    head's and then the top of its stack, is a selection from the tail values
+    and those top entries, its program, which depends only on their order
+    type.
+
+    A head is looked up by the order type of its tail and its top entries,
+    window of them first, which settle whether the top entry can be popped,
+    and one more each time the entries shown leave the reach open.  A key met
+    first takes its head's reach and the programs of the order type that it
+    settles, which are built on their first use by feeding the tail in each
+    order.  The programs are ``itemgetter``s, shared between order types,
+    since most heads of a scan share a few of them.  All three dicts live as
+    long as the scan that made them.
+    """
+
+    def __init__(self, feed: Callable, window: int):
+        self.feed = feed
+        self.window = window
+        # order type shown -> (top entries read, programs), or None to show one more
+        self.keys: dict[tuple, tuple[int, tuple] | None] = {}
+        self.programs: dict[tuple, tuple] = {}
+        self.getters: dict[tuple[int, ...], Callable] = {}
+
+    def images(self, stack: list[int], out: list[int], tail: list[int]) -> Iterator[Perm]:
+        """The image of each order of ``tail`` fed after the head state
+        (``stack``, ``out``), in lexicographic order; ``tail`` is sorted."""
+        top_down = stack[::-1]
+        depth = len(stack)
+        shown = min(self.window, depth)
+        while True:
+            values = (*tail, *top_down[:shown])
+            key = _order_type(values, shown == depth)
+            try:
+                found = self.keys[key]
+            except KeyError:
+                found = self.keys[key] = self._settle(stack, tail, shown)
+            if found is not None:
+                break
+            shown += 1
+        top, program = found
+        images = map(add, repeat(tuple(out)), map(call, program, repeat(values)))
+        if top < depth:
+            images = map(add, images, repeat(tuple(top_down[top:])))
+        return images
+
+    def _settle(self, stack: list[int], tail: list[int], shown: int) -> tuple[int, tuple] | None:
+        """How many top entries of ``stack`` the images of its tail depend on,
+        and their programs; None when ``shown`` entries do not settle that."""
+        depth = len(stack)
+        top = min(_reach(self.feed, stack, tail, self.window) + self.window - 1, depth)
+        if shown < depth and top >= shown:
+            return None
+        values = (*tail, *stack[::-1][:top])
+        key = _order_type(values, top == depth)
+        if key not in self.programs:
+            index = {v: i for i, v in enumerate(values)}
+            program = []
+            for t in itertools.permutations(tail):
+                s = stack.copy()
+                o: list[int] = []
+                self.feed(s, o, t)
+                picks = tuple(map(index.__getitem__, o + s[depth - top:][::-1]))
+                if picks not in self.getters:
+                    self.getters[picks] = itemgetter(*picks)
+                program.append(self.getters[picks])
+            self.programs[key] = tuple(program)
+        return top, self.programs[key]
+
+
+def _order_type(values: tuple[int, ...], whole: bool) -> tuple:
+    """The rank of each value among ``values``, after whether they hold the
+    whole stack."""
+    order = sorted(values)
+    return (whole, *map(order.index, values))
+
+
+def _reach(feed: Callable, stack: list[int], tail: Iterable[int], window: int) -> int:
+    """How many entries from the top of ``stack`` a push of some ``tail`` value
+    right onto each pops, reading it and the entries below it up to ``window``,
+    counted until the first it does not pop."""
+    depth = len(stack)
+    reach = 0
+    while reach < depth and any(
+        _pops(feed, stack[max(depth - reach - window, 0):depth - reach], c) for c in tail
+    ):
+        reach += 1
+    return reach
+
+
+def _pops(feed: Callable, stack: list[int], c: int) -> bool:
+    """Whether pushing c onto ``stack`` pops its top."""
+    s = stack.copy()
+    feed(s, [], (c,))
+    return len(s) <= len(stack)
 
 
 def _ranker(n: int) -> Callable[[Perm], int]:

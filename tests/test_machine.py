@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stacksorting
+from stacksorting import machine
 from conftest import (
     _push_blocked_reference,
     complement_machine,
@@ -22,6 +23,7 @@ from stacksorting.machine import (
     MachineSpec,
     TraceStep,
     _compiled_runner,
+    _reach,
     _unrank,
     classical_machine,
     consecutive_123_image,
@@ -206,6 +208,11 @@ JOBS_MACHINES = {
 }
 
 
+CONSECUTIVE_SHAPES = [
+    spec for spec in every_machine_shape() if all(p.is_consecutive for p in spec.forbidden)
+]
+
+
 class TestScan:
     """The prefix-shared scan agrees with one run per permutation, and the
     runners with the reference decider, exhaustively for n <= 6."""
@@ -223,6 +230,57 @@ class TestScan:
                 assert list(scan(spec, n, (first,))) == [
                     image for p, image in zip(perms, expected) if p[0] == first
                 ]
+
+    @pytest.mark.parametrize("spec", CONSECUTIVE_SHAPES, ids=str)
+    def test_stored_programs_match_run(self, spec, monkeypatch):
+        # from n = 7 a head holds three or four entries, so the programs meet
+        # reaches past the top entry and stacks with an untouched bottom; they
+        # run only where the heads outgrow the window a push reads
+        served = []
+        images = machine._TailPrograms.images
+
+        def recording(self, *head):
+            served.append(head)
+            return images(self, *head)
+
+        monkeypatch.setattr(machine._TailPrograms, "images", recording)
+        for n in (7, 8):
+            perms = list(all_permutations(n))
+            expected = [run(spec, p) for p in perms]
+            assert list(scan(spec, n)) == expected
+            assert list(scan(spec, n, (2,))) == [
+                image for p, image in zip(perms, expected) if p[0] == 2
+            ]
+        assert served
+
+    @pytest.mark.parametrize("spec", [SC132, SC231], ids=str)
+    def test_no_tail_pops_below_the_reach(self, spec):
+        # the reach counts the top entries that some tail value, pushed right
+        # onto each, pops, until the first it does not; no order of the tail
+        # pops an entry below it
+        feed = _compiled_feed(spec.forbidden)
+
+        def pops(stack, c):
+            out = []
+            feed(stack, out, (c,))
+            return bool(out)
+
+        reaches = Counter()
+        for head in itertools.permutations(range(1, 9), 4):
+            stack: list[int] = []
+            feed(stack, [], head)
+            tail = sorted(set(range(1, 9)) - set(head))
+            reach = _reach(feed, stack, tail, 2)
+            reaches[reach] += 1
+            depth = len(stack)
+            for i in range(min(reach + 1, depth)):
+                # the whole stack below, not only the window a push reads
+                assert any(pops(stack[:depth - i], c) for c in tail) == (i < reach), (head, i)
+            for t in itertools.permutations(tail):
+                s = stack.copy()
+                feed(s, [], t)
+                assert s[:depth - reach] == stack[:depth - reach], (head, t)
+        assert {0, 1, 2} <= set(reaches)
 
     def test_longer_prefix(self):
         assert list(scan(SC231, 7, (3, 1, 7))) == [
@@ -303,16 +361,18 @@ class TestScan:
     @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
     def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
         # the head is all but the last four entries, or the prefix when
-        # longer; the test sees its image on its own and, when four entries
-        # follow the head, the image of the head and one entry more
+        # longer; the test sees its image on its own and, under a machine with
+        # a pattern that is not consecutive, when four entries follow the
+        # head, the image of the head and one entry more
         def skip(word):
             return sum(word) % 3 == 1
 
         seen = set()
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
+            forks = not all(p.is_consecutive for p in spec.forbidden)
             for n in range(max(prefix, default=0), 8):
                 head = max(n - 4, len(prefix))
-                depths = (0, 1) if n - head == 4 else (0,)
+                depths = (0, 1) if forks and n - head == 4 else (0,)
                 kept = []
                 for p in all_permutations(n):
                     if p[:len(prefix)] != prefix:

@@ -233,9 +233,6 @@ class TestCounts:
         assert count_sortable(SC231, 8) == pair[0] == count_sortable_reference(SC231, 8)
         assert folded["_count_members"] < folded["_weigh"] < factorial(8)
 
-    def test_jobs_partition_agrees(self):
-        assert count_sortable(SC231, 6, jobs=2) == count_sortable(SC231, 6)
-
     def test_members_resource_bound_is_eager(self):
         # raised by the call itself, before any member is asked for
         with pytest.raises(ResourceBoundError):
