@@ -28,9 +28,8 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import factorial
-from operator import add, call, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
@@ -138,11 +137,11 @@ def scan(
     its output followed by its stack read top-down, which every image under
     the head holds as a subsequence, since the output is fixed and the stack
     empties from the top.  A head that passes is skipped with all its tails.
-    When a pattern is not consecutive and _SUFFIX entries follow a head that
-    fails, each first tail entry is fed after it on its own and tested the
-    same way, and only the entries that fail are followed by the tails after
-    them.  So the positions above no longer hold, and only order-free folds
-    may pass ``skip``.
+    When the tails are fed, not run as programs, and _SUFFIX entries follow a
+    head that fails, each first tail entry is fed after it on its own and
+    tested the same way, and only the entries that fail are followed by the
+    tails after them.  So the positions above no longer hold, and only
+    order-free folds may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -154,9 +153,8 @@ def scan(
         raise ValueError(f"prefix must hold distinct values of 1..{n}: {prefix!r}")
     feed = _compiled_feed(spec.forbidden)
     rest = [v for v in range(1, n + 1) if v not in prefix]
-    consecutive = all(p.is_consecutive for p in spec.forbidden)
     programs = None
-    if consecutive:
+    if all(p.is_consecutive for p in spec.forbidden):
         window = max(len(p.body) for p in spec.forbidden) - 1
         # a head no longer than the window a push reads shows its whole stack
         # in each key, so few heads share one: feeding the tails was faster
@@ -175,7 +173,7 @@ def scan(
         if programs is not None:
             yield from programs.images(head_stack, head_out, tail)
             continue
-        if skip is None or consecutive or len(tail) < _SUFFIX:
+        if skip is None or len(tail) < _SUFFIX:
             forks = [(head_stack, head_out, tail)]
         else:
             forks = _live_forks(feed, head_stack, head_out, tail, skip)
@@ -236,7 +234,7 @@ class _TailPrograms:
         self.programs: dict[tuple, tuple] = {}
         self.getters: dict[tuple[int, ...], Callable] = {}
 
-    def images(self, stack: list[int], out: list[int], tail: list[int]) -> Iterator[Perm]:
+    def images(self, stack: list[int], out: list[int], tail: list[int]) -> list[Perm]:
         """The image of each order of ``tail`` fed after the head state
         (``stack``, ``out``), in lexicographic order; ``tail`` is sorted."""
         top_down = stack[::-1]
@@ -253,10 +251,11 @@ class _TailPrograms:
                 break
             shown += 1
         top, program = found
-        images = map(add, repeat(tuple(out)), map(call, program, repeat(values)))
+        out = tuple(out)
         if top < depth:
-            images = map(add, images, repeat(tuple(top_down[top:])))
-        return images
+            bottom = tuple(top_down[top:])
+            return [out + get(values) + bottom for get in program]
+        return [out + get(values) for get in program]
 
     def _settle(self, stack: list[int], tail: list[int], shown: int) -> tuple[int, tuple] | None:
         """How many top entries of ``stack`` the images of its tail depend on,

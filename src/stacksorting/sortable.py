@@ -12,9 +12,10 @@ four entries) is fed, every image under the head holds the head's output
 followed by its stack read top-down as a subsequence.  When that word
 contains 231, no image under the head is sortable, and the scan skips the
 head's tails.  A machine whose patterns are all consecutive gives the images
-under a head it keeps from stored programs, one call each; under any other
-machine the scan tests each first tail entry, fed on its own, the same way
-before it feeds the other three.
+under a head it keeps from stored programs, one call each, once the heads
+are longer than the window a push reads; where the scan feeds the tails
+instead, it tests each first tail entry, fed on its own, the same way before
+it feeds the other three.
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
@@ -135,8 +136,9 @@ def count_sortable_pair(
     partition-parallel when jobs > 1.
 
     The scan skips every head whose forced word (see ``scan``) contains both
-    231 and 213, as no image under it avoids either, and when a pattern is
-    not consecutive, every head with one more entry whose word does.  Each
+    231 and 213, as no image under it avoids either, and where the tails are
+    fed, not run as stored programs, every head with one more entry whose
+    word does.  Each
     image left is looked up once in a dict over Av_n(231) and Av_n(213),
     built for the call: 2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1)
     permutations avoid both; 33,080 at n = 10.
@@ -165,8 +167,8 @@ def count_sortable(
     """|{p in S_n : sortable}|; partition-parallel when jobs > 1.
 
     The scan skips every head whose forced word (see ``scan``) contains 231,
-    as no image under it is sortable, and when a pattern is not consecutive,
-    every head with one more entry whose word does.  Each image left is
+    as no image under it is sortable, and where the tails are fed, not run
+    as stored programs, every head with one more entry whose word does.  Each image left is
     looked up once in Av_n(231), built for the call: C_n entries, 16,796 at
     n = 10.
     """

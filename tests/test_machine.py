@@ -361,18 +361,21 @@ class TestScan:
     @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
     def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
         # the head is all but the last four entries, or the prefix when
-        # longer; the test sees its image on its own and, under a machine with
-        # a pattern that is not consecutive, when four entries follow the
-        # head, the image of the head and one entry more
+        # longer; the test sees its image on its own and, when four entries
+        # follow the head and are fed rather than run as stored programs (a
+        # pattern is not consecutive, or the head after the prefix holds no
+        # more than the two entries a push of SC231 reads), the image of the
+        # head and one entry more
         def skip(word):
             return sum(word) % 3 == 1
 
         seen = set()
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
-            forks = not all(p.is_consecutive for p in spec.forbidden)
+            consecutive = all(p.is_consecutive for p in spec.forbidden)
             for n in range(max(prefix, default=0), 8):
                 head = max(n - 4, len(prefix))
-                depths = (0, 1) if forks and n - head == 4 else (0,)
+                programs = consecutive and head - len(prefix) > 2
+                depths = (0, 1) if not programs and n - head == 4 else (0,)
                 kept = []
                 for p in all_permutations(n):
                     if p[:len(prefix)] != prefix:
