@@ -18,7 +18,9 @@ the last four entries.  Under a consecutive machine, once the heads are
 longer than the window of the stack a push reads, those images come from
 stored ``itemgetter`` programs instead (``_TailPrograms``): only the top few
 entries can ever move, and each image picks its values from them and the
-tail in a way that depends only on their order type.
+tail in a way that depends only on their order type.  Nothing stored depends
+on n or the prefix, so each machine keeps one store for the whole process,
+and every scan of it adds to the same one.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def scan(
     fed once, and its state is resumed for each order of the entries left.
     When every pattern is consecutive and the heads after the prefix hold
     more entries than a push reads below it, the images come from the stored
-    programs of ``_TailPrograms``, one ``itemgetter`` call each; otherwise
+    programs of the machine's ``_TailPrograms``, one ``itemgetter`` call
+    each, in the one store that every scan of the machine shares; otherwise
     each order is fed on a copy.
 
     With ``skip``, each head is tested once it is fed, on its forced word:
@@ -155,11 +158,11 @@ def scan(
     rest = [v for v in range(1, n + 1) if v not in prefix]
     programs = None
     if all(p.is_consecutive for p in spec.forbidden):
-        window = max(len(p.body) for p in spec.forbidden) - 1
+        store = _tail_programs(spec)
         # a head no longer than the window a push reads shows its whole stack
         # in each key, so few heads share one: feeding the tails was faster
-        if len(rest) - _SUFFIX > window:
-            programs = _TailPrograms(feed, window)
+        if len(rest) - _SUFFIX > store.window:
+            programs = store
     stack: list[int] = []
     out: list[int] = []
     feed(stack, out, prefix)
@@ -200,6 +203,14 @@ def _live_forks(
             yield s, o, [v for v in tail if v != first]
 
 
+@lru_cache(maxsize=None)
+def _tail_programs(spec: MachineSpec) -> _TailPrograms:
+    """The one ``_TailPrograms`` of a machine whose patterns are all
+    consecutive, shared by every scan of it in this process."""
+    window = max(len(p.body) for p in spec.forbidden) - 1
+    return _TailPrograms(_compiled_feed(spec.forbidden), window)
+
+
 class _TailPrograms:
     """The images under a fed head of every order of its tail, for a machine
     whose patterns are all consecutive and read at most ``window`` stack
@@ -222,8 +233,10 @@ class _TailPrograms:
     first takes its head's reach and the programs of the order type that it
     settles, which are built on their first use by feeding the tail in each
     order.  The programs are ``itemgetter``s, shared between order types,
-    since most heads of a scan share a few of them.  All three dicts live as
-    long as the scan that made them.
+    since most heads of a scan share a few of them.  No key, reach or program
+    depends on n, the prefix or the head's output, so all three dicts live as
+    long as the process: ``_tail_programs`` keeps one store per machine, and
+    each ``--jobs`` worker its own, carried from one partition to the next.
     """
 
     def __init__(self, feed: Callable, window: int):

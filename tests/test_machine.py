@@ -253,6 +253,32 @@ class TestScan:
             ]
         assert served
 
+    def test_scans_share_one_store_across_n_and_prefixes(self):
+        # keys, reaches and programs hold for any n and prefix, so a store
+        # warmed at n = 9 under the prefix 5 serves the scans of S_8 as well
+        perms = list(all_permutations(8))
+        expected = [run(SC132, p) for p in perms]
+
+        def added_by_the_n8_scans():
+            store = machine._tail_programs(SC132)
+            before = len(store.keys)
+            assert list(scan(SC132, 8)) == expected
+            assert list(scan(SC132, 8, (2,))) == [
+                image for p, image in zip(perms, expected) if p[0] == 2
+            ]
+            return len(store.keys) - before
+
+        machine._tail_programs.cache_clear()
+        cold = added_by_the_n8_scans()
+        machine._tail_programs.cache_clear()
+        list(scan(SC132, 9, (5,)))
+        warm = added_by_the_n8_scans()
+        assert warm < cold
+
+    def test_equal_machines_share_one_store(self):
+        assert machine._tail_programs(consecutive_machine((1, 3, 2))) is machine._tail_programs(SC132)
+        assert machine._tail_programs(SC132) is not machine._tail_programs(SC231)
+
     @pytest.mark.parametrize("spec", [SC132, SC231], ids=str)
     def test_no_tail_pops_below_the_reach(self, spec):
         # the reach counts the top entries that some tail value, pushed right
