@@ -262,6 +262,9 @@ def cmd_spectrum(spec, n_max, unsafe_n):
 @unsafe_option
 def cmd_sortable(spec, n, count_only, list_, bfile, jobs, unsafe_n):
     """Count (or list) the permutations the machine sorts."""
+    for flag, given in (("--bfile", bfile), ("--count-only", count_only)):
+        if list_ and given:
+            raise click.UsageError(f"--list prints the members; it cannot go with {flag}")
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     if bfile:
         if n < 0:

@@ -13,14 +13,15 @@ entry per call.  The tests check it against the independent routes: a
 backtracking reference decider (in the tests), ``stack_sort`` and the
 closed-form images of the monotone length-3 machines.
 
-``scan`` feeds each head of S_n once and resumes its state for every order of
-the last four entries.  Under a consecutive machine, once the heads are
-longer than the window of the stack a push reads, those images come from
+``scan`` walks the heads of S_n (``permutations._walk``), feeding each shared
+prefix once, and resumes each head's state for every order of the entries
+left.  Under a consecutive machine, once the heads are longer than the window
+of the stack a push reads, the images of the last four entries come from
 stored ``itemgetter`` programs instead (``_TailPrograms``): only the top few
-entries can ever move, and each image picks its values from them and the
-tail in a way that depends only on their order type.  Nothing stored depends
-on n or the prefix, so each machine keeps one store for the whole process,
-and every scan of it adds to the same one.
+entries can ever move, and each image picks its values from them and the tail
+in a way that depends only on their order type.  Nothing stored depends on n
+or the prefix, so each machine keeps one store for the whole process, and
+every scan of it adds to the same one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .permutations import (
     PatternSpec,
     Perm,
     _compiled_feed,
+    _walk,
     as_permutation,
     ascending_runs,
     classical,
@@ -128,23 +130,23 @@ def scan(
     lexicographic order of the permutations: the i-th image is that of the
     i-th permutation of ``all_permutations`` with that prefix.
 
-    Each head (the first n - _SUFFIX entries, or the prefix when longer) is
-    fed once, and its state is resumed for each order of the entries left.
-    When every pattern is consecutive and the heads after the prefix hold
-    more entries than a push reads below it, the images come from the stored
-    programs of the machine's ``_TailPrograms``, one ``itemgetter`` call
-    each, in the one store that every scan of the machine shares; otherwise
-    each order is fed on a copy.
+    ``_walk`` feeds the heads, sharing their common prefixes, and each
+    head's state is resumed for every order of the entries left.  A head is
+    all but the last _SUFFIX - 1 entries, or the prefix when longer, and
+    each order is fed on a copy.  When every pattern is consecutive and all
+    but the last _SUFFIX entries hold more past the prefix than a push reads
+    below it, those are the heads instead, and the images come from the
+    stored programs of the machine's ``_TailPrograms``, one ``itemgetter``
+    call each, in the one store that every scan of the machine shares.
 
-    With ``skip``, each head is tested once it is fed, on its forced word:
-    its output followed by its stack read top-down, which every image under
-    the head holds as a subsequence, since the output is fixed and the stack
-    empties from the top.  A head that passes is skipped with all its tails.
-    When the tails are fed, not run as programs, and _SUFFIX entries follow a
-    head that fails, each first tail entry is fed after it on its own and
-    tested the same way, and only the entries that fail are followed by the
-    tails after them.  So the positions above no longer hold, and only
-    order-free folds may pass ``skip``.
+    With ``skip``, the walk tests every state past the prefix on its forced
+    word: its output followed by its stack read top-down, which every image
+    under it holds as a subsequence, since the output is fixed and the stack
+    empties from the top.  A state that passes is dropped with all its
+    images.  ``skip`` must be upward-closed (a word holding one that passes
+    passes too): each state's word holds its parent's, so a cut above the
+    head drops only heads that would pass themselves.  The positions above
+    no longer hold, and only order-free folds may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -156,51 +158,31 @@ def scan(
         raise ValueError(f"prefix must hold distinct values of 1..{n}: {prefix!r}")
     feed = _compiled_feed(spec.forbidden)
     rest = [v for v in range(1, n + 1) if v not in prefix]
+    depth = max(len(rest) - _SUFFIX, 0)
     programs = None
     if all(p.is_consecutive for p in spec.forbidden):
         store = _tail_programs(spec)
         # a head no longer than the window a push reads shows its whole stack
         # in each key, so few heads share one: feeding the tails was faster
-        if len(rest) - _SUFFIX > store.window:
+        if depth > store.window:
             programs = store
+    if programs is None and len(rest) >= _SUFFIX:
+        depth += 1
+    cut = None if skip is None else lambda s, o: skip(o + s[::-1])
     stack: list[int] = []
     out: list[int] = []
     feed(stack, out, prefix)
-    for head in itertools.permutations(rest, max(len(rest) - _SUFFIX, 0)):
-        head_stack = stack.copy()
-        head_out = out.copy()
-        feed(head_stack, head_out, head)
-        tail = [v for v in rest if v not in head]
-        if skip is not None and skip(head_out + head_stack[::-1]):
-            continue
+    for head_stack, head_out, tail in _walk(feed, stack, out, rest, depth, cut):
         if programs is not None:
             yield from programs.images(head_stack, head_out, tail)
             continue
-        if skip is None or len(tail) < _SUFFIX:
-            forks = [(head_stack, head_out, tail)]
-        else:
-            forks = _live_forks(feed, head_stack, head_out, tail, skip)
-        for fork_stack, fork_out, fork_tail in forks:
-            for t in itertools.permutations(fork_tail):
-                s = fork_stack.copy()
-                o = fork_out.copy()
-                feed(s, o, t)
-                s.reverse()
-                o += s
-                yield tuple(o)
-
-
-def _live_forks(
-    feed: Callable, stack: list[int], out: list[int], tail: list[int], skip: Callable
-) -> Iterator[tuple[list[int], list[int], list[int]]]:
-    """The machine state after each first entry of ``tail`` whose forced word
-    fails ``skip``, with the entries left to follow it."""
-    for first in tail:
-        s = stack.copy()
-        o = out.copy()
-        feed(s, o, (first,))
-        if not skip(o + s[::-1]):
-            yield s, o, [v for v in tail if v != first]
+        for t in itertools.permutations(tail):
+            s = head_stack.copy()
+            o = head_out.copy()
+            feed(s, o, t)
+            s.reverse()
+            o += s
+            yield tuple(o)
 
 
 @lru_cache(maxsize=None)

@@ -343,6 +343,33 @@ def _prefix_feed(patterns: tuple[PatternSpec, ...]) -> Callable[[list[int], list
     ))
 
 
+def _walk(
+    feed: Callable, stack: list[int], out: list[int], rest: list[int], depth: int,
+    cut: Callable[[list[int], list[int]], object] | None,
+) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Each state that feeding ``depth`` values of ``rest``, in every order,
+    onto (``stack``, ``out``) reaches, as ``(stack, out, values left)``; in
+    lexicographic order when ``rest`` is sorted.
+
+    Depth first: each value of ``rest`` in turn is fed onto a copy of the
+    parent state, and a child for which ``cut(stack, out)`` holds is dropped
+    with everything under it.  The start state is not tested.
+
+    >>> feed = _prefix_feed((classical((2, 1)),))  # pops once 21 ends the prefix
+    >>> [(s, rest) for s, _, rest in _walk(feed, [], [], [1, 2, 3], 2, lambda s, o: o)]
+    [([1, 2], [3]), ([1, 3], [2]), ([2, 3], [1])]
+    """
+    if depth == 0:
+        yield stack, out, rest
+        return
+    for v in rest:
+        s = stack.copy()
+        o = out.copy()
+        feed(s, o, (v,))
+        if cut is None or not cut(s, o):
+            yield from _walk(feed, s, o, [w for w in rest if w != v], depth - 1, cut)
+
+
 def contains(host: Sequence[int], pattern: PatternSpec) -> bool:
     """True iff ``host`` contains an occurrence of ``pattern``.
 
@@ -504,20 +531,10 @@ def pattern_avoiders(n: int, patterns: Iterable[PatternSpec]) -> Iterator[Perm]:
     """Permutations of [n] avoiding every given pattern, in lexicographic order.
 
     A generating tree (West, 1996): every prefix of an avoider avoids the
-    patterns, so each avoiding prefix, as the stack of ``_prefix_feed``, is
-    extended by each unused value in increasing order and kept when that feed
-    step pops nothing.
+    patterns, so ``_walk`` extends each avoiding prefix, as the stack of
+    ``_prefix_feed``, and cuts it when that feed step pops.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _avoider_tree(_prefix_feed(tuple(patterns)), [], list(range(1, n + 1)))
-
-
-def _avoider_tree(feed: Callable, prefix: list[int], rest: list[int]) -> Iterator[Perm]:
-    if not rest:
-        yield tuple(prefix)
-    for v in rest:
-        child, out = prefix.copy(), []
-        feed(child, out, (v,))
-        if not out:
-            yield from _avoider_tree(feed, child, [w for w in rest if w != v])
+    leaves = _walk(_prefix_feed(tuple(patterns)), [], [], list(range(1, n + 1)), n, lambda s, o: o)
+    return (tuple(stack) for stack, _, _ in leaves)

@@ -7,15 +7,10 @@ Catalan-many, C_n of them (16,796 at n = 10).
 
 ``count_sortable`` runs a scan of its own, not the pair's below, and looks
 up each image it reaches in Av_n(231), built once per call.  That scan need
-not reach every image.  Once the head of a permutation (all but its last
-four entries) is fed, every image under the head holds the head's output
-followed by its stack read top-down as a subsequence.  When that word
-contains 231, no image under the head is sortable, and the scan skips the
-head's tails.  A machine whose patterns are all consecutive gives the images
-under a head it keeps from stored programs, one call each, once the heads
-are longer than the window a push reads; where the scan feeds the tails
-instead, it tests each first tail entry, fed on its own, the same way before
-it feeds the other three.
+not reach every image.  Every image under a fed prefix of a permutation
+holds the prefix's output followed by its stack read top-down as a
+subsequence.  When that word contains 231, no image under the prefix is
+sortable, and the scan's walk cuts it, down to the heads.
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
@@ -135,13 +130,11 @@ def count_sortable_pair(
     forbidden body complemented, adjacency unchanged), from one scan;
     partition-parallel when jobs > 1.
 
-    The scan skips every head whose forced word (see ``scan``) contains both
-    231 and 213, as no image under it avoids either, and where the tails are
-    fed, not run as stored programs, every head with one more entry whose
-    word does.  Each
-    image left is looked up once in a dict over Av_n(231) and Av_n(213),
-    built for the call: 2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1)
-    permutations avoid both; 33,080 at n = 10.
+    The scan cuts each prefix, down to its heads, whose forced word (see
+    ``scan``) contains both 231 and 213, as no image under it avoids either.
+    Each image left is looked up once in a dict over Av_n(231) and
+    Av_n(213), built for the call: 2 C_n - 2^(n-1) entries for n >= 1, as
+    2^(n-1) permutations avoid both; 33,080 at n = 10.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     weigh = functools.partial(_weigh, _membership_weights(n))
@@ -166,11 +159,10 @@ def count_sortable(
 ) -> int:
     """|{p in S_n : sortable}|; partition-parallel when jobs > 1.
 
-    The scan skips every head whose forced word (see ``scan``) contains 231,
-    as no image under it is sortable, and where the tails are fed, not run
-    as stored programs, every head with one more entry whose word does.  Each image left is
-    looked up once in Av_n(231), built for the call: C_n entries, 16,796 at
-    n = 10.
+    The scan cuts each prefix, down to its heads, whose forced word (see
+    ``scan``) contains 231, as no image under it is sortable.  Each image
+    left is looked up once in Av_n(231), built for the call: C_n entries,
+    16,796 at n = 10.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     count = functools.partial(_count_members, _avoiders_231(n))

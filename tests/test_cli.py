@@ -203,6 +203,12 @@ class TestSortableCommands:
                               "--list")
         assert code == 0 and len(out.splitlines()) == 5
 
+    @pytest.mark.parametrize("flag", ["--bfile", "--count-only"])
+    def test_list_with_another_output_is_usage_error(self, capsys, no_scan, flag):
+        code, out, err = invoke(capsys, "sortable", "--pattern", "132", "--n", "3",
+                                "--list", flag)
+        assert code == 1 and out == "" and "--list" in err and flag in err
+
     def test_list_bound_exit_code(self, capsys):
         code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "12",
                                 "--list")

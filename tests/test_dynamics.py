@@ -367,7 +367,7 @@ class TestProbes:
         def no_tree(*args):
             raise AssertionError("built an avoider tree")
 
-        monkeypatch.setattr(permutations, "_avoider_tree", no_tree)
+        monkeypatch.setattr(permutations, "pattern_avoiders", no_tree)
         run_conjecture("general-periodic", 4, sigma=sigma)
         assert calls == {"image_map": 4 * maps, "_expected_periodic": 4 * classes,
                          "_reversal_ranks": 4}

@@ -387,13 +387,18 @@ class TestScan:
     @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
     def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
         # the head is all but the last four entries, or the prefix when
-        # longer; the test sees its image on its own and, when four entries
-        # follow the head and are fed rather than run as stored programs (a
-        # pattern is not consecutive, or the head after the prefix holds no
-        # more than the two entries a push of SC231 reads), the image of the
-        # head and one entry more
+        # longer.  A permutation is dropped when the image of its head
+        # contains 312 or, when four entries follow the head and are fed
+        # rather than run as stored programs (a pattern is not consecutive,
+        # or the head after the prefix holds no more than the two entries a
+        # push of SC231 reads), the image of the head and one entry more does.
+        # The walk also tests each shorter state past the prefix, which drops
+        # no more, since every word holding one that contains 312 contains
+        # 312 too (231 would do as well, but no head after 31 holds it at
+        # n < 8).  The prefix itself is where the walk starts and is not
+        # tested, though a length-0 head after it once was.
         def skip(word):
-            return sum(word) % 3 == 1
+            return contains(word, classical((3, 1, 2)))
 
         seen = set()
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
@@ -402,6 +407,7 @@ class TestScan:
                 head = max(n - 4, len(prefix))
                 programs = consecutive and head - len(prefix) > 2
                 depths = (0, 1) if not programs and n - head == 4 else (0,)
+                depths = [d for d in depths if head + d > len(prefix)]
                 kept = []
                 for p in all_permutations(n):
                     if p[:len(prefix)] != prefix:
@@ -412,6 +418,24 @@ class TestScan:
                         kept.append(run(spec, p))
                 assert list(scan(spec, n, prefix, skip)) == kept
         assert seen == {None, 0, 1}
+
+    @pytest.mark.parametrize("spec, lengths", [
+        (SC231, {2, 3, 4}),
+        (classical_machine((1, 3, 2, 4)), {2, 3, 4, 5}),
+    ], ids=["consecutive-231", "classical-1324"])
+    def test_skip_sees_every_depth_above_the_head(self, spec, lengths):
+        # after the prefix 1 at n = 8, SC231 runs its stored programs under
+        # heads of three more entries, and the classical machine feeds the
+        # tails under heads of four; the walk tests every state past the
+        # prefix down to the head
+        seen = set()
+
+        def skip(word):
+            seen.add(len(word))
+            return False
+
+        assert list(scan(spec, 8, (1,), skip)) == list(scan(spec, 8, (1,)))
+        assert seen == lengths
 
     def test_skip_goes_to_each_worker_beside_the_reducer(self, recording_pool):
         def skip(word):

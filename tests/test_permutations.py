@@ -15,6 +15,8 @@ from conftest import (
 )
 from stacksorting.machine import consecutive_321_image, consecutive_machine, trace
 from stacksorting.permutations import (
+    _compiled_feed,
+    _walk,
     all_permutations,
     ascending_runs,
     ascent_slot_counts,
@@ -177,6 +179,26 @@ PATTERN_MIXES = [
     (vincular((3, 1, 4, 2), (2,)), consecutive((1, 2, 3))),
     (classical((2, 1, 3, 5, 4)), consecutive((3, 1, 2)), vincular((2, 1), (1,))),
 ]
+
+
+class TestWalk:
+    @pytest.mark.parametrize("spec", every_machine_shape(), ids=str)
+    def test_without_a_cut_it_feeds_each_order_in_turn(self, spec):
+        feed = _compiled_feed(spec.forbidden)
+        for n in range(6):
+            for prefix in [()] + [(first,) for first in range(1, n + 1)]:
+                stack, out = [], []
+                feed(stack, out, prefix)
+                start = (stack.copy(), out.copy())
+                rest = [v for v in range(1, n + 1) if v not in prefix]
+                for depth in range(len(rest) + 1):
+                    expected = []
+                    for head in itertools.permutations(rest, depth):
+                        s, o = stack.copy(), out.copy()
+                        feed(s, o, head)
+                        expected.append((s, o, [v for v in rest if v not in head]))
+                    assert list(_walk(feed, stack, out, rest, depth, None)) == expected
+                    assert (stack, out) == start
 
 
 class TestGeneratedSearch:
