@@ -265,6 +265,8 @@ def cmd_sortable(spec, n, count_only, list_, bfile, jobs, unsafe_n):
     for flag, given in (("--bfile", bfile), ("--count-only", count_only)):
         if list_ and given:
             raise click.UsageError(f"--list prints the members; it cannot go with {flag}")
+    if bfile and count_only:
+        raise click.UsageError("--bfile prints b-file lines; it cannot go with --count-only")
     max_n = n if unsafe_n else bounds.SCAN_BOUND
     if bfile:
         if n < 0:

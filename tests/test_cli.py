@@ -209,6 +209,12 @@ class TestSortableCommands:
                                 "--list", flag)
         assert code == 1 and out == "" and "--list" in err and flag in err
 
+    def test_bfile_with_count_only_is_usage_error(self, capsys, no_scan):
+        # --bfile used to print its lines and drop --count-only without a word
+        code, out, err = invoke(capsys, "sortable", "--pattern", "321", "--n", "3",
+                                "--count-only", "--bfile")
+        assert code == 1 and out == "" and "--bfile" in err and "--count-only" in err
+
     def test_list_bound_exit_code(self, capsys):
         code, out, err = invoke(capsys, "sortable", "--pattern", "231", "--n", "12",
                                 "--list")

@@ -275,6 +275,25 @@ class TestScan:
         warm = added_by_the_n8_scans()
         assert warm < cold
 
+    @pytest.mark.parametrize("body", [*itertools.permutations((1, 2, 3)), (1, 4, 3, 2)],
+                             ids=lambda body: "".join(map(str, body)))
+    def test_tails_of_four_and_five_share_one_store(self, body):
+        # a length-3 machine runs programs of four tail entries on the
+        # first-entry partitions of S_8 and of five on those of S_9, and
+        # SC_1432 does over all of S_8 and S_9; a four-entry tail with three
+        # top entries shown and a five-entry tail with two give keys of the
+        # same length, so only the tail length in each key keeps them apart
+        spec = consecutive_machine(body)
+        machine._tail_programs.cache_clear()
+        for n in range(1, 10) if len(body) == 3 else (8, 9):
+            expected = [run(spec, p) for p in all_permutations(n)]
+            if len(body) == 4:
+                assert list(scan(spec, n)) == expected
+                continue
+            block = factorial(n - 1)
+            for first in range(1, n + 1):
+                assert list(scan(spec, n, (first,))) == expected[(first - 1) * block:first * block]
+
     def test_equal_machines_share_one_store(self):
         assert machine._tail_programs(consecutive_machine((1, 3, 2))) is machine._tail_programs(SC132)
         assert machine._tail_programs(SC132) is not machine._tail_programs(SC231)
@@ -438,8 +457,8 @@ class TestScan:
         assert seen == lengths
 
     def test_skip_goes_to_each_worker_beside_the_reducer(self, recording_pool):
-        def skip(word):
-            return word[:1] == [1]
+        def skip(word):  # upward-closed, as scan requires
+            return contains(word, classical((3, 1, 2)))
 
         parts = list(scan_reduce(SC231, 7, Counter, jobs=2, skip=skip))
         assert parts == list(scan_reduce(SC231, 7, Counter, skip=skip))
