@@ -15,13 +15,13 @@ closed-form images of the monotone length-3 machines.
 
 ``scan`` walks the heads of S_n (``permutations._walk``), feeding each shared
 prefix once, and resumes each head's state for every order of the entries
-left.  Under a consecutive machine, once the heads are longer than the window
-of the stack a push reads, the images of the last four or five entries come
-from stored ``itemgetter`` programs instead (``_TailPrograms``): only the top
-few entries can ever move, and each image picks its values from them and the
-tail in a way that depends only on the tail's length and their order type.
-Nothing stored depends on n or the prefix, so each machine keeps one store
-for the whole process, and every scan of it adds to the same one.
+left.  Under a consecutive machine, once the heads reach the window of the
+stack a push reads, the images of the last five entries come from stored
+``itemgetter`` programs instead (``_TailPrograms``): only the top few entries
+can ever move, and each image picks its values from them and the tail in a
+way that depends only on their order type.  Nothing stored depends on n or
+the prefix, so each machine keeps one store for the whole process, and every
+scan of it adds to the same one.
 """
 
 from __future__ import annotations
@@ -117,12 +117,13 @@ def run(spec: MachineSpec, perm: Sequence[int]) -> Perm:
 # the scan over S_n
 # ---------------------------------------------------------------------------
 
-# Every permutation shares its machine state up to its last _SUFFIX entries
-# with _SUFFIX! - 1 others, so that state is computed once and copied; 4 was
-# the fastest split for fed tails at n = 9 among 2..5.  Stored programs take
-# up to _PROGRAM_TAIL entries instead, since each of their heads costs more
-# and each image less: 5 beat 4 and 6 on the count and max fertility of
-# SC_231 at n = 10.
+# A fed tail is the last _SUFFIX - 1 entries, each order fed on a copy of its
+# head's state; _ranker splits each permutation at its last _SUFFIX entries.
+# (4 was timed the fastest among 2..5 only while fed tails held all _SUFFIX
+# entries, before the walk shared the heads' prefixes.)
+# Stored programs take the last _PROGRAM_TAIL entries, since each of their
+# heads costs more and each image less: 5 beat 4 and 6 on the count and max
+# fertility of SC_231 at n = 10.
 _SUFFIX = 4
 _PROGRAM_TAIL = 5
 
@@ -138,12 +139,11 @@ def scan(
     head's state is resumed for every order of the entries left.  A head is
     all but the last _SUFFIX - 1 entries, or the prefix when longer, and
     each order is fed on a copy.  When every pattern is consecutive and all
-    but the last _SUFFIX entries hold more past the prefix than a push reads
-    below it, the heads are all but the last _PROGRAM_TAIL entries instead,
-    or all but the last _SUFFIX when those would be no longer than that
-    window, and the images come from the stored programs of the machine's
-    ``_TailPrograms``, one ``itemgetter`` call each, in the one store that
-    every scan of the machine shares.
+    but the last _PROGRAM_TAIL entries hold at least as many past the prefix
+    as a push reads below it, those are the heads instead, and the images
+    come from the stored programs of the machine's ``_TailPrograms``, one
+    ``itemgetter`` call each, in the one store that every scan of the machine
+    shares.
 
     With ``skip``, the walk tests every state past the prefix on its forced
     word: its output followed by its stack read top-down, which every image
@@ -168,11 +168,10 @@ def scan(
     depth = max(len(rest) - _SUFFIX + 1, 0)
     if all(p.is_consecutive for p in spec.forbidden):
         store = _tail_programs(spec)
-        # a head no longer than the window a push reads shows its whole stack
+        # a head shorter than the window a push reads shows its whole stack
         # in each key, so few heads share one: feeding the tails was faster
-        tail = min(len(rest) - store.window - 1, _PROGRAM_TAIL)
-        if tail >= _SUFFIX:
-            programs, depth = store, len(rest) - tail
+        if len(rest) - store.window >= _PROGRAM_TAIL:
+            programs, depth = store, len(rest) - _PROGRAM_TAIL
     cut = None if skip is None else lambda s, o: skip(o + s[::-1])
     stack: list[int] = []
     out: list[int] = []
@@ -214,13 +213,14 @@ class _TailPrograms:
     and those top entries, its program, which depends only on their order
     type.
 
-    A head is looked up by the length of its tail and the order type of the
-    tail and its top entries, window of them first, which settle whether the
-    top entry can be popped, and one more each time the entries shown leave
-    the reach open.  A key met first takes its head's reach and the programs
-    of the order type that it settles, which are built on their first use by
-    feeding the tail in each order.  The programs are ``itemgetter``s, shared between order types and
-    tail lengths, since most heads of a scan share a few of them.  No key,
+    A head is looked up by the order type of its tail and its top entries,
+    window of them first, which settle whether the top entry can be popped,
+    and one more each time the entries shown leave the reach open.  Every
+    tail holds _PROGRAM_TAIL entries, so a key's length tells how many are
+    shown.  A key met first takes its head's reach and the programs of the
+    order type that it settles, which are built on their first use by feeding
+    the tail in each order.  The programs are ``itemgetter``s, shared between
+    order types, since most heads of a scan share a few of them.  No key,
     reach or program depends on n, the prefix or the head's output, so all
     three dicts live as long as the process: ``_tail_programs`` keeps one
     store per machine, and each ``--jobs`` worker its own, carried from one
@@ -243,7 +243,7 @@ class _TailPrograms:
         shown = min(self.window, depth)
         while True:
             values = (*tail, *top_down[:shown])
-            key = _order_type(values, len(tail), shown == depth)
+            key = _order_type(values, shown == depth)
             try:
                 found = self.keys[key]
             except KeyError:
@@ -266,7 +266,7 @@ class _TailPrograms:
         if shown < depth and top >= shown:
             return None
         values = (*tail, *stack[::-1][:top])
-        key = _order_type(values, len(tail), top == depth)
+        key = _order_type(values, top == depth)
         if key not in self.programs:
             index = {v: i for i, v in enumerate(values)}
             program = []
@@ -282,12 +282,11 @@ class _TailPrograms:
         return top, self.programs[key]
 
 
-def _order_type(values: tuple[int, ...], tail: int, whole: bool) -> tuple:
-    """The rank of each value among ``values``, after how many of them are the
-    tail and whether the rest hold the whole stack.  Tails of different lengths
-    share the store, and a key's length alone does not tell them apart."""
+def _order_type(values: tuple[int, ...], whole: bool) -> tuple:
+    """The rank of each value among ``values``, after whether the entries past
+    the tail hold the whole stack."""
     order = sorted(values)
-    return (tail, whole, *map(order.index, values))
+    return (whole, *map(order.index, values))
 
 
 def _reach(feed: Callable, stack: list[int], tail: Iterable[int], window: int) -> int:

@@ -233,9 +233,10 @@ class TestScan:
 
     @pytest.mark.parametrize("spec", CONSECUTIVE_SHAPES, ids=str)
     def test_stored_programs_match_run(self, spec, monkeypatch):
-        # from n = 7 a head holds three or four entries, so the programs meet
-        # reaches past the top entry and stacks with an untouched bottom; they
-        # run only where the heads outgrow the window a push reads
+        # at n = 7 and 8 a head holds two or three entries, so the programs
+        # meet stacks with an untouched bottom and, under the length-2 and
+        # length-3 machines, reaches past the top entry; they run only where
+        # the heads reach the window a push reads
         served = []
         images = machine._TailPrograms.images
 
@@ -278,11 +279,11 @@ class TestScan:
     @pytest.mark.parametrize("body", [*itertools.permutations((1, 2, 3)), (1, 4, 3, 2)],
                              ids=lambda body: "".join(map(str, body)))
     def test_tails_of_four_and_five_share_one_store(self, body):
-        # a length-3 machine runs programs of four tail entries on the
-        # first-entry partitions of S_8 and of five on those of S_9, and
-        # SC_1432 does over all of S_8 and S_9; a four-entry tail with three
-        # top entries shown and a five-entry tail with two give keys of the
-        # same length, so only the tail length in each key keeps them apart
+        # a length-3 machine runs programs on the first-entry partitions of
+        # S_8 and S_9, under heads of two and three entries, and SC_1432 over
+        # all of S_8 and S_9, under heads of three and four; every tail holds
+        # five entries, so keys that show different numbers of top entries
+        # differ in length, and one store serves every n and prefix
         spec = consecutive_machine(body)
         machine._tail_programs.cache_clear()
         for n in range(1, 10) if len(body) == 3 else (8, 9):
@@ -293,6 +294,25 @@ class TestScan:
             block = factorial(n - 1)
             for first in range(1, n + 1):
                 assert list(scan(spec, n, (first,))) == expected[(first - 1) * block:first * block]
+        programs = machine._tail_programs(spec).programs
+        assert programs and all(len(program) == factorial(5) for program in programs.values())
+
+    @pytest.mark.parametrize("spec", [consecutive_machine((1, 2, 3), (3, 2, 1)), SC231, SC132],
+                             ids=str)
+    def test_a_count_and_an_image_map_share_their_programs(self, spec):
+        # every scan of a machine runs tails of one length, so the programs
+        # that count_sortable builds at n = 8 serve image_map there too
+        def added_by_the_image_map():
+            store = machine._tail_programs(spec)
+            before = len(store.programs)
+            image_map(spec, 8)
+            return len(store.programs) - before
+
+        machine._tail_programs.cache_clear()
+        cold = added_by_the_image_map()
+        machine._tail_programs.cache_clear()
+        count_sortable(spec, 8)
+        assert added_by_the_image_map() < cold
 
     def test_equal_machines_share_one_store(self):
         assert machine._tail_programs(consecutive_machine((1, 3, 2))) is machine._tail_programs(SC132)
@@ -405,12 +425,13 @@ class TestScan:
 
     @pytest.mark.parametrize("prefix", [(), (2,), (3, 1)], ids=str)
     def test_skip_drops_the_tails_of_the_heads_it_passes(self, prefix):
-        # the head is all but the last four entries, or the prefix when
-        # longer.  A permutation is dropped when the image of its head
-        # contains 312 or, when four entries follow the head and are fed
-        # rather than run as stored programs (a pattern is not consecutive,
-        # or the head after the prefix holds no more than the two entries a
-        # push of SC231 reads), the image of the head and one entry more does.
+        # where the tails run as stored programs (SC231 once seven entries
+        # follow the prefix, so that the head after it holds the two entries
+        # a push reads), the head is all but the last five entries, and a
+        # permutation is dropped when the image of its head contains 312.
+        # Elsewhere the head is all but the last four entries, or the prefix
+        # when longer, and it is dropped when the image of its head or, when
+        # four entries follow the head, of the head and one entry more does.
         # The walk also tests each shorter state past the prefix, which drops
         # no more, since every word holding one that contains 312 contains
         # 312 too (231 would do as well, but no head after 31 holds it at
@@ -423,8 +444,8 @@ class TestScan:
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
             consecutive = all(p.is_consecutive for p in spec.forbidden)
             for n in range(max(prefix, default=0), 8):
-                head = max(n - 4, len(prefix))
-                programs = consecutive and head - len(prefix) > 2
+                programs = consecutive and n - len(prefix) >= 7
+                head = n - 5 if programs else max(n - 4, len(prefix))
                 depths = (0, 1) if not programs and n - head == 4 else (0,)
                 depths = [d for d in depths if head + d > len(prefix)]
                 kept = []
@@ -439,12 +460,12 @@ class TestScan:
         assert seen == {None, 0, 1}
 
     @pytest.mark.parametrize("spec, lengths", [
-        (SC231, {2, 3, 4}),
+        (SC231, {2, 3}),
         (classical_machine((1, 3, 2, 4)), {2, 3, 4, 5}),
     ], ids=["consecutive-231", "classical-1324"])
     def test_skip_sees_every_depth_above_the_head(self, spec, lengths):
         # after the prefix 1 at n = 8, SC231 runs its stored programs under
-        # heads of three more entries, and the classical machine feeds the
+        # heads of two more entries, and the classical machine feeds the
         # tails under heads of four; the walk tests every state past the
         # prefix down to the head
         seen = set()

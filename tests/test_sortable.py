@@ -197,7 +197,9 @@ class TestCounts:
             count_sortable_reference(complement_machine(spec), 8))
 
     def test_the_prune_fires(self, monkeypatch):
-        # the pair folds fewer than 8! images of SC_123; the scan has them all
+        # the pair folds fewer than 9! images of SC_123; the scan has them all
+        # (at n = 8 the heads after the first entry hold two more, and no
+        # forced word of three entries holds both 231 and 213)
         reduced = []
 
         def weigh(weights, images):
@@ -206,10 +208,10 @@ class TestCounts:
             return sum(weights.get(image, 0) for image in images)
 
         monkeypatch.setattr(sortable, "_weigh", weigh)
-        assert count_sortable_pair(SC123, 8) == (
-            count_sortable_reference(SC123, 8), count_sortable_reference(SC321, 8))
-        assert len(reduced) == 8 and sum(reduced) < factorial(8)
-        assert sum(1 for _ in scan(SC123, 8)) == factorial(8)
+        assert count_sortable_pair(SC123, 9) == (
+            count_sortable_reference(SC123, 9), count_sortable_reference(SC321, 9))
+        assert len(reduced) == 9 and sum(reduced) < factorial(9)
+        assert sum(1 for _ in scan(SC123, 9)) == factorial(9)
 
     def test_single_count_prunes_on_231_alone(self, monkeypatch):
         # count_sortable skips every head whose forced word holds 231, more
@@ -228,10 +230,10 @@ class TestCounts:
 
         for name in ("_count_members", "_weigh"):
             monkeypatch.setattr(sortable, name, recording(getattr(sortable, name)))
-        pair = count_sortable_pair(SC231, 8)
+        pair = count_sortable_pair(SC231, 9)
         monkeypatch.setattr(sortable, "_membership_weights", no_weights)
-        assert count_sortable(SC231, 8) == pair[0] == count_sortable_reference(SC231, 8)
-        assert folded["_count_members"] < folded["_weigh"] < factorial(8)
+        assert count_sortable(SC231, 9) == pair[0] == count_sortable_reference(SC231, 9)
+        assert folded["_count_members"] < folded["_weigh"] < factorial(9)
 
     def test_members_resource_bound_is_eager(self):
         # raised by the call itself, before any member is asked for
