@@ -21,13 +21,16 @@ stack a push reads, the images of the last five entries come from stored
 can ever move, and each image picks its values from them and the tail in a
 way that depends only on their order type.  Nothing stored depends on n or
 the prefix, so each machine keeps one store for the whole process, and every
-scan of it adds to the same one.
+scan of it adds to the same one.  Many orders of a tail pick the same values,
+so the order-free folds of ``scan_reduce`` read ``scan_batches`` instead:
+each distinct image of a head once, weighted by how many orders give it.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -143,7 +146,7 @@ def scan(
     as a push reads below it, those are the heads instead, and the images
     come from the stored programs of the machine's ``_TailPrograms``, one
     ``itemgetter`` call each, in the one store that every scan of the machine
-    shares.
+    shares.  ``scan_batches`` walks the same heads for order-free folds.
 
     With ``skip``, the walk tests every state past the prefix on its forced
     word: its output followed by its stack read top-down, which every image
@@ -157,6 +160,41 @@ def scan(
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
     """
+    feed, programs, heads = _heads(spec, n, prefix, skip)
+    if programs is None:
+        return _fed_images(feed, heads)
+    return itertools.chain.from_iterable(itertools.starmap(programs.images, heads))
+
+
+def scan_batches(
+    spec: MachineSpec, n: int, prefix: Sequence[int] = (), skip: Callable | None = None
+) -> Iterator[tuple[int, Iterable[Perm]]]:
+    """The images of ``scan(spec, n, prefix, skip)`` as ``(weight, images)``
+    batches, each image standing for ``weight`` of them, in no set order.
+
+    Where the tails run as stored programs, each head gives one batch per
+    multiplicity class of its program: a list of the distinct images that
+    ``weight`` orders of its tail each give.  Otherwise the whole scan is
+    one batch of weight 1.  A permutation's image is counted with its
+    weight, so only order-free folds may read the batches.
+
+    >>> batches = list(scan_batches(consecutive_machine((2, 3, 1)), 8, (1,)))
+    >>> sum(weight * len(images) for weight, images in batches)  # 7!
+    5040
+    >>> sum(len(images) for weight, images in batches)  # built
+    2257
+    """
+    feed, programs, heads = _heads(spec, n, prefix, skip)
+    if programs is None:
+        return iter([(1, _fed_images(feed, heads))])
+    return itertools.chain.from_iterable(itertools.starmap(programs.batches, heads))
+
+
+def _heads(
+    spec: MachineSpec, n: int, prefix: Sequence[int], skip: Callable | None
+) -> tuple[Callable, _TailPrograms | None, Iterator]:
+    """The machine's feed, its ``_TailPrograms`` when the tails run as stored
+    programs (else None), and the walk over the heads of ``scan``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     prefix = tuple(prefix)
@@ -176,10 +214,12 @@ def scan(
     stack: list[int] = []
     out: list[int] = []
     feed(stack, out, prefix)
-    for head_stack, head_out, tail in _walk(feed, stack, out, rest, depth, cut):
-        if programs is not None:
-            yield from programs.images(head_stack, head_out, tail)
-            continue
+    return feed, programs, _walk(feed, stack, out, rest, depth, cut)
+
+
+def _fed_images(feed: Callable, heads: Iterator) -> Iterator[Perm]:
+    """The image of every order of each head's tail, fed on a copy of its state."""
+    for head_stack, head_out, tail in heads:
         for t in itertools.permutations(tail):
             s = head_stack.copy()
             o = head_out.copy()
@@ -222,22 +262,60 @@ class _TailPrograms:
     the tail in each order.  The programs are ``itemgetter``s, shared between
     order types, since most heads of a scan share a few of them.  No key,
     reach or program depends on n, the prefix or the head's output, so all
-    three dicts live as long as the process: ``_tail_programs`` keeps one
+    four dicts live as long as the process: ``_tail_programs`` keeps one
     store per machine, and each ``--jobs`` worker its own, carried from one
     partition to the next.
+
+    Each program is the ordered tuple of _PROGRAM_TAIL! getters, one per
+    order of the tail, behind ``images`` and so ``scan``.  ``batches`` reads
+    the same program grouped by multiplicity, ``((m, getters), ...)``, each
+    distinct getter once with the number m of orders that take it; the
+    groups are built on a program's first batch, not with the program.
+    This is exact: equal picks are one shared getter, and distinct picks
+    from distinct values give distinct images.
     """
 
     def __init__(self, feed: Callable, window: int):
         self.feed = feed
         self.window = window
-        # order type shown -> (top entries read, programs), or None to show one more
-        self.keys: dict[tuple, tuple[int, tuple] | None] = {}
+        # order type shown -> (top entries read, programs, their key), or None
+        # to show one more
+        self.keys: dict[tuple, tuple[int, tuple, tuple] | None] = {}
         self.programs: dict[tuple, tuple] = {}
         self.getters: dict[tuple[int, ...], Callable] = {}
+        # the programs' key -> their multiplicity classes, built for batches only
+        self.classes: dict[tuple, tuple] = {}
 
     def images(self, stack: list[int], out: list[int], tail: list[int]) -> list[Perm]:
         """The image of each order of ``tail`` fed after the head state
         (``stack``, ``out``), in lexicographic order; ``tail`` is sorted."""
+        values, (top, program, _) = self._lookup(stack, tail)
+        out = tuple(out)
+        if top < len(stack):
+            bottom = tuple(stack[-top - 1::-1])
+            return [out + get(values) + bottom for get in program]
+        return [out + get(values) for get in program]
+
+    def batches(
+        self, stack: list[int], out: list[int], tail: list[int]
+    ) -> list[tuple[int, list[Perm]]]:
+        """The images of ``images`` as ``(weight, distinct images)``, one pair
+        per multiplicity class of the head's program."""
+        values, (top, program, key) = self._lookup(stack, tail)
+        try:
+            classes = self.classes[key]
+        except KeyError:
+            classes = self.classes[key] = _multiplicity_classes(program)
+        out = tuple(out)
+        if top < len(stack):
+            bottom = tuple(stack[-top - 1::-1])
+            return [(m, [out + get(values) + bottom for get in getters]) for m, getters in classes]
+        return [(m, [out + get(values) for get in getters]) for m, getters in classes]
+
+    def _lookup(self, stack: list[int], tail: list[int]) -> tuple[tuple, tuple[int, tuple, tuple]]:
+        """The values a head's programs pick from (its tail, then its top
+        entries), and how many top entries its images read, its programs and
+        their key."""
         top_down = stack[::-1]
         depth = len(stack)
         shown = min(self.window, depth)
@@ -249,18 +327,15 @@ class _TailPrograms:
             except KeyError:
                 found = self.keys[key] = self._settle(stack, tail, shown)
             if found is not None:
-                break
+                return values, found
             shown += 1
-        top, program = found
-        out = tuple(out)
-        if top < depth:
-            bottom = tuple(top_down[top:])
-            return [out + get(values) + bottom for get in program]
-        return [out + get(values) for get in program]
 
-    def _settle(self, stack: list[int], tail: list[int], shown: int) -> tuple[int, tuple] | None:
+    def _settle(
+        self, stack: list[int], tail: list[int], shown: int
+    ) -> tuple[int, tuple, tuple] | None:
         """How many top entries of ``stack`` the images of its tail depend on,
-        and their programs; None when ``shown`` entries do not settle that."""
+        their programs and the programs' key; None when ``shown`` entries do
+        not settle that."""
         depth = len(stack)
         top = min(_reach(self.feed, stack, tail, self.window) + self.window - 1, depth)
         if shown < depth and top >= shown:
@@ -279,7 +354,16 @@ class _TailPrograms:
                     self.getters[picks] = itemgetter(*picks)
                 program.append(self.getters[picks])
             self.programs[key] = tuple(program)
-        return top, self.programs[key]
+        return top, self.programs[key], key
+
+
+def _multiplicity_classes(program: tuple) -> tuple[tuple[int, tuple], ...]:
+    """The distinct getters of a program grouped by how many of its orders
+    take each, as ``((m, getters), ...)``."""
+    classes: dict[int, list] = {}
+    for get, m in Counter(program).items():
+        classes.setdefault(m, []).append(get)
+    return tuple((m, tuple(getters)) for m, getters in classes.items())
 
 
 def _order_type(values: tuple[int, ...], whole: bool) -> tuple:
@@ -359,16 +443,21 @@ def image_map(spec: MachineSpec, n: int) -> array:
 def scan_reduce(
     spec: MachineSpec, n: int, reduce: Callable, jobs: int = 1, skip: Callable | None = None
 ) -> Iterator:
-    """``reduce`` of each first-entry partition of S_n, ``scan(spec, n, (first,), skip)``
-    for first = 1..n in that order (one part, all of S_n, when n <= 1).
+    """``reduce`` of each first-entry partition of S_n, for first = 1..n in
+    that order (one part, all of S_n, when n <= 1).
+
+    ``reduce`` is an order-free fold over the ``(weight, images)`` batches of
+    ``scan_batches(spec, n, (first,), skip)``: it must count each image of a
+    batch ``weight`` times, and read each batch's images at most once, as
+    they may come from an iterator.
 
     ``jobs`` changes where the partitions run, not the results: with ``jobs > 1``
     and n >= 2, in a process pool of at most one worker per partition, where
-    ``reduce`` and ``skip`` must pickle (a module-level function or ``Counter``);
-    they go to each worker once, as the worker starts, and each task names only
-    its first entry.  Each result is yielded once it and those before it are
-    done, so that the caller can fold it in before the next.  ``jobs < 1``
-    raises ``ValueError`` at the call.
+    ``reduce`` and ``skip`` must pickle (module-level functions or partials of
+    them); they go to each worker once, as the worker starts, and each task
+    names only its first entry.  Each result is yielded once it and those
+    before it are done, so that the caller can fold it in before the next.
+    ``jobs < 1`` raises ``ValueError`` at the call.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
@@ -386,7 +475,7 @@ def _partition_results(
         ) as pool:
             yield from pool.map(_reduce_partition, [(spec, n, p) for p in prefixes])
     else:
-        yield from (reduce(scan(spec, n, p, skip)) for p in prefixes)
+        yield from (reduce(scan_batches(spec, n, p, skip)) for p in prefixes)
 
 
 # a pool worker's reducer and head test, set as it starts
@@ -401,7 +490,7 @@ def _set_worker_reduce(reduce: Callable, skip: Callable | None = None) -> None:
 
 def _reduce_partition(task) -> object:
     spec, n, prefix = task
-    return _worker_reduce(scan(spec, n, prefix, _worker_skip))
+    return _worker_reduce(scan_batches(spec, n, prefix, _worker_skip))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ SC(pi).  Max fertility and spectra therefore fold the tally of each partition
 that ``scan_reduce`` yields, one at a time, and never hold the tally of S_n.
 A length-2 pattern can pop the bottom entry (every image under classical 21
 ends in n), so those machines fold the tally of all of S_n at once.
+
+Every tally is order-free, so it is built from the weighted batches of
+``scan_reduce``: where the tails run as stored programs, each distinct image
+of a head is built and hashed once, and counted as many times as orders of
+its tail give it.  ``fiber`` needs positions, so it reads ``scan``.
 """
 
 from __future__ import annotations
@@ -59,8 +64,23 @@ def image_tally(
     """Multiset of machine images over all of S_n (fiber sizes by target)."""
     bounds.check_scan_bound(n, max_n, "image_tally")
     tally = Counter()
-    for part in scan_reduce(spec, n, Counter, jobs):
+    for part in scan_reduce(spec, n, _tally, jobs):
         tally.update(part)
+    return tally
+
+
+def _tally(batches: Iterable[tuple[int, Iterable[Perm]]]) -> Counter:
+    """The image tally of ``scan_reduce`` batches, each image of a batch of
+    weight m counted m times: one hash per image, where ``images * m`` would
+    hash each m times."""
+    tally = Counter()
+    get = tally.get
+    for m, images in batches:
+        if m == 1:
+            tally.update(images)
+        else:
+            for image in images:
+                tally[image] = get(image, 0) + m
     return tally
 
 
@@ -73,8 +93,8 @@ def _fiber_folds(spec: MachineSpec, n: int, reduce: Callable, jobs: int) -> Iter
         yield reduce(image_tally(spec, n, max_n=n, jobs=jobs))
 
 
-def _reduce_tally(reduce: Callable, images: Iterable[Perm]) -> object:
-    return reduce(Counter(images))
+def _reduce_tally(reduce: Callable, batches: Iterable[tuple[int, Iterable[Perm]]]) -> object:
+    return reduce(_tally(batches))
 
 
 def _peak(tally: Counter) -> tuple[int, list[Perm]]:

@@ -10,7 +10,10 @@ up each image it reaches in Av_n(231), built once per call.  That scan need
 not reach every image.  Every image under a fed prefix of a permutation
 holds the prefix's output followed by its stack read top-down as a
 subsequence.  When that word contains 231, no image under the prefix is
-sortable, and the scan's walk cuts it, down to the heads.
+sortable, and the scan's walk cuts it, down to the heads.  Both counts are
+order-free, so they fold the weighted batches of ``scan_reduce``: where the
+tails run as stored programs, each distinct image of a head is built and
+looked up once, and counted as many times as orders of its tail give it.
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
@@ -112,8 +115,9 @@ def _membership_weights(n: int) -> dict[Perm, int]:
     return weights
 
 
-def _weigh(weights: dict[Perm, int], images: Iterable[Perm]) -> int:
-    return sum(map(weights.get, images, itertools.repeat(0)))
+def _weigh(weights: dict[Perm, int], batches: Iterable[tuple[int, Iterable[Perm]]]) -> int:
+    get = weights.get
+    return sum(m * sum(map(get, images, itertools.repeat(0))) for m, images in batches)
 
 
 def _holds_231_and_213(top: int, word: Sequence[int]) -> bool:
@@ -132,9 +136,10 @@ def count_sortable_pair(
 
     The scan cuts each prefix, down to its heads, whose forced word (see
     ``scan``) contains both 231 and 213, as no image under it avoids either.
-    Each image left is looked up once in a dict over Av_n(231) and
-    Av_n(213), built for the call: 2 C_n - 2^(n-1) entries for n >= 1, as
-    2^(n-1) permutations avoid both; 33,080 at n = 10.
+    Each distinct image left of a head (see ``scan_batches``) is looked up
+    once in a dict over Av_n(231) and Av_n(213), built for the call
+    (2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1) permutations avoid
+    both; 33,080 at n = 10), and counted the weight of its batch times.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     weigh = functools.partial(_weigh, _membership_weights(n))
@@ -144,8 +149,11 @@ def count_sortable_pair(
     return count, complement_count
 
 
-def _count_members(members: frozenset[Perm], images: Iterable[Perm]) -> int:
-    return countOf(map(members.__contains__, images), True)
+def _count_members(
+    members: frozenset[Perm], batches: Iterable[tuple[int, Iterable[Perm]]]
+) -> int:
+    member = members.__contains__
+    return sum(m * countOf(map(member, images), True) for m, images in batches)
 
 
 def _contains_231(word: Sequence[int]) -> bool:
@@ -160,9 +168,10 @@ def count_sortable(
     """|{p in S_n : sortable}|; partition-parallel when jobs > 1.
 
     The scan cuts each prefix, down to its heads, whose forced word (see
-    ``scan``) contains 231, as no image under it is sortable.  Each image
-    left is looked up once in Av_n(231), built for the call: C_n entries,
-    16,796 at n = 10.
+    ``scan``) contains 231, as no image under it is sortable.  Each distinct
+    image left of a head (see ``scan_batches``) is looked up once in
+    Av_n(231), built for the call (C_n entries, 16,796 at n = 10), and
+    counted the weight of its batch times.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     count = functools.partial(_count_members, _avoiders_231(n))

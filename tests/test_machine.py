@@ -399,16 +399,16 @@ class TestScan:
         for n in range(6):
             prefixes = [(first,) for first in range(1, n + 1)] or [()]
             expected = [Counter(scan(spec, n, p)) for p in prefixes]
-            assert list(scan_reduce(spec, n, Counter, 1)) == expected
-            assert list(scan_reduce(spec, n, Counter, 2)) == expected
+            assert list(scan_reduce(spec, n, _expanded, 1)) == expected
+            assert list(scan_reduce(spec, n, _expanded, 2)) == expected
         assert recording_pool["tasks"] == [
             [(spec, n, (first,)) for first in range(1, n + 1)] for n in range(2, 6)
         ]
 
     def test_reducer_goes_to_each_worker_once(self, recording_pool):
         # the tasks name only the partition; the reducer rides in initargs
-        parts = list(scan_reduce(SC231, 4, Counter, jobs=2))
-        assert recording_pool["initargs"] == [(Counter,)]
+        parts = list(scan_reduce(SC231, 4, _expanded, jobs=2))
+        assert recording_pool["initargs"] == [(_expanded,)]
         assert recording_pool["tasks"] == [[(SC231, 4, (first,)) for first in range(1, 5)]]
         assert sum(parts, Counter()) == image_tally(SC231, 4)
 
@@ -481,15 +481,51 @@ class TestScan:
         def skip(word):  # upward-closed, as scan requires
             return contains(word, classical((3, 1, 2)))
 
-        parts = list(scan_reduce(SC231, 7, Counter, jobs=2, skip=skip))
-        assert parts == list(scan_reduce(SC231, 7, Counter, skip=skip))
+        parts = list(scan_reduce(SC231, 7, _expanded, jobs=2, skip=skip))
+        assert parts == list(scan_reduce(SC231, 7, _expanded, skip=skip))
         assert parts == [Counter(scan(SC231, 7, (first,), skip)) for first in range(1, 8)]
         assert sum(parts, Counter()) != image_tally(SC231, 7)
         # a later pool with no skip scans every head again
-        assert list(scan_reduce(SC231, 7, Counter, jobs=2)) == [
+        assert list(scan_reduce(SC231, 7, _expanded, jobs=2)) == [
             Counter(scan(SC231, 7, (first,))) for first in range(1, 8)]
-        assert recording_pool["initargs"] == [(Counter, skip), (Counter,)]
+        assert recording_pool["initargs"] == [(_expanded, skip), (_expanded,)]
         assert recording_pool["tasks"] == [[(SC231, 7, (first,)) for first in range(1, 8)]] * 2
+
+    @pytest.mark.parametrize("spec, n, prefixes", [
+        *(pytest.param(spec, 8, [(first,) for first in range(1, 9)], id=f"{spec}-n8")
+          for spec in CONSECUTIVE_SHAPES),
+        pytest.param(consecutive_machine((1, 4, 3, 2)), 9, [()], id="consecutive-1432-S9"),
+    ])
+    def test_batches_expand_to_the_scan(self, spec, n, prefixes):
+        # each image of a batch stands for weight images of the scan; at n = 8
+        # the length-2 and length-3 machines run programs on every first-entry
+        # partition and the length-4 ones feed their tails as one batch, and
+        # SC_1432 runs programs over all of S_9
+        def skip(word):  # upward-closed, as scan requires
+            return contains(word, classical((3, 1, 2)))
+
+        for prefix in prefixes:
+            for cut in (None, skip):
+                assert _expanded(machine.scan_batches(spec, n, prefix, cut)) == Counter(
+                    scan(spec, n, prefix, cut)), (prefix, cut)
+
+    def test_batches_build_each_distinct_tail_image_once(self):
+        # under SC_231 at n = 9 some orders of a head's tail give one image,
+        # which a batch builds once and weighs by how many orders give it
+        batches = [(weight, list(images)) for weight, images in machine.scan_batches(SC231, 9)]
+        built = sum(len(images) for _, images in batches)
+        weighed = sum(weight * len(images) for weight, images in batches)
+        assert max(weight for weight, _ in batches) > 1
+        assert built < weighed == factorial(9)
+
+
+def _expanded(batches):
+    """The tally of ``scan_batches``' batches, each image counted weight times."""
+    tally = Counter()
+    for weight, images in batches:
+        for image in images:
+            tally[image] += weight
+    return tally
 
 
 @pytest.fixture

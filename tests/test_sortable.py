@@ -202,10 +202,12 @@ class TestCounts:
         # forced word of three entries holds both 231 and 213)
         reduced = []
 
-        def weigh(weights, images):
-            images = list(images)
-            reduced.append(len(images))
-            return sum(weights.get(image, 0) for image in images)
+        def weigh(weights, batches):
+            # each image of a batch stands for weight images of the scan
+            batches = [(weight, list(images)) for weight, images in batches]
+            reduced.append(sum(weight * len(images) for weight, images in batches))
+            return sum(weight * weights.get(image, 0)
+                       for weight, images in batches for image in images)
 
         monkeypatch.setattr(sortable, "_weigh", weigh)
         assert count_sortable_pair(SC123, 9) == (
@@ -219,10 +221,12 @@ class TestCounts:
         folded = {}
 
         def recording(fold):
-            def record(table, images):
-                images = list(images)
-                folded[fold.__name__] = folded.get(fold.__name__, 0) + len(images)
-                return fold(table, images)
+            def record(table, batches):
+                # the images weighed, each image of a batch weight times
+                batches = [(weight, list(images)) for weight, images in batches]
+                weighed = sum(weight * len(images) for weight, images in batches)
+                folded[fold.__name__] = folded.get(fold.__name__, 0) + weighed
+                return fold(table, batches)
             return record
 
         def no_weights(n):
