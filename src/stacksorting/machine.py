@@ -33,7 +33,7 @@ from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -152,10 +152,16 @@ def scan(
     word: its output followed by its stack read top-down, which every image
     under it holds as a subsequence, since the output is fixed and the stack
     empties from the top.  A state that passes is dropped with all its
-    images.  ``skip`` must be upward-closed (a word holding one that passes
-    passes too): each state's word holds its parent's, so a cut above the
-    head drops only heads that would pass themselves.  The positions above
-    no longer hold, and only order-free folds may pass ``skip``.
+    images.  A head whose tails run as stored programs is tested as well on
+    its tail words, one per tail value t: its output, then t, then the
+    frozen bottom of its stack (the entries below those its programs read)
+    top-down, which every image of the head holds too, as t comes out after
+    the output and before the bottom.  A head on whose tail word ``skip``
+    holds is dropped before any image is built.  ``skip`` must be
+    upward-closed (a word holding one that passes passes too): each state's
+    word holds its parent's, so a cut above the head drops only heads that
+    would pass themselves.  The positions above no longer hold, and only
+    order-free folds may pass ``skip``.
 
     >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
     [(1, 2, 3), (2, 1, 3)]
@@ -163,7 +169,8 @@ def scan(
     feed, programs, heads = _heads(spec, n, prefix, skip)
     if programs is None:
         return _fed_images(feed, heads)
-    return itertools.chain.from_iterable(itertools.starmap(programs.images, heads))
+    images = programs.images if skip is None else partial(programs.images, skip=skip)
+    return itertools.chain.from_iterable(itertools.starmap(images, heads))
 
 
 def scan_batches(
@@ -176,7 +183,9 @@ def scan_batches(
     multiplicity class of its program: a list of the distinct images that
     ``weight`` orders of its tail each give.  Otherwise the whole scan is
     one batch of weight 1.  A permutation's image is counted with its
-    weight, so only order-free folds may read the batches.
+    weight, so only order-free folds may read the batches.  ``skip`` drops
+    the same states and program heads as in ``scan``, tail words included,
+    so the batches still expand to its images.
 
     >>> batches = list(scan_batches(consecutive_machine((2, 3, 1)), 8, (1,)))
     >>> sum(weight * len(images) for weight, images in batches)  # 7!
@@ -187,7 +196,8 @@ def scan_batches(
     feed, programs, heads = _heads(spec, n, prefix, skip)
     if programs is None:
         return iter([(1, _fed_images(feed, heads))])
-    return itertools.chain.from_iterable(itertools.starmap(programs.batches, heads))
+    batches = programs.batches if skip is None else partial(programs.batches, skip=skip)
+    return itertools.chain.from_iterable(itertools.starmap(batches, heads))
 
 
 def _heads(
@@ -273,6 +283,13 @@ class _TailPrograms:
     groups are built on a program's first batch, not with the program.
     This is exact: equal picks are one shared getter, and distinct picks
     from distinct values give distinct images.
+
+    Given a ``skip``, ``images`` and ``batches`` first test it on the
+    head's tail words, one per tail value t: the head's output, t, then its
+    frozen bottom, the entries below the top ones its programs read,
+    top-down.  Every image of the head holds each of them, so a head on
+    whose tail word the upward-closed ``skip`` holds gives no image, and
+    none is built.
     """
 
     def __init__(self, feed: Callable, window: int):
@@ -286,36 +303,44 @@ class _TailPrograms:
         # the programs' key -> their multiplicity classes, built for batches only
         self.classes: dict[tuple, tuple] = {}
 
-    def images(self, stack: list[int], out: list[int], tail: list[int]) -> list[Perm]:
+    def images(
+        self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None = None
+    ) -> list[Perm]:
         """The image of each order of ``tail`` fed after the head state
-        (``stack``, ``out``), in lexicographic order; ``tail`` is sorted."""
-        values, (top, program, _) = self._lookup(stack, tail)
-        out = tuple(out)
-        if top < len(stack):
-            bottom = tuple(stack[-top - 1::-1])
+        (``stack``, ``out``), in lexicographic order; ``tail`` is sorted.
+        Empty when ``skip`` holds on a tail word of the head."""
+        head = self._lookup(stack, out, tail, skip)
+        if head is None:
+            return []
+        values, out, bottom, program, _ = head
+        if bottom:
             return [out + get(values) + bottom for get in program]
         return [out + get(values) for get in program]
 
     def batches(
-        self, stack: list[int], out: list[int], tail: list[int]
+        self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None = None
     ) -> list[tuple[int, list[Perm]]]:
         """The images of ``images`` as ``(weight, distinct images)``, one pair
         per multiplicity class of the head's program."""
-        values, (top, program, key) = self._lookup(stack, tail)
+        head = self._lookup(stack, out, tail, skip)
+        if head is None:
+            return []
+        values, out, bottom, program, key = head
         try:
             classes = self.classes[key]
         except KeyError:
             classes = self.classes[key] = _multiplicity_classes(program)
-        out = tuple(out)
-        if top < len(stack):
-            bottom = tuple(stack[-top - 1::-1])
+        if bottom:
             return [(m, [out + get(values) + bottom for get in getters]) for m, getters in classes]
         return [(m, [out + get(values) for get in getters]) for m, getters in classes]
 
-    def _lookup(self, stack: list[int], tail: list[int]) -> tuple[tuple, tuple[int, tuple, tuple]]:
+    def _lookup(
+        self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None
+    ) -> tuple[tuple, tuple, tuple, tuple, tuple] | None:
         """The values a head's programs pick from (its tail, then its top
-        entries), and how many top entries its images read, its programs and
-        their key."""
+        entries), its output, the frozen bottom of its stack below the top
+        entries its images read (top-down), its programs and their key; None
+        when ``skip`` holds on a tail word of the head."""
         top_down = stack[::-1]
         depth = len(stack)
         shown = min(self.window, depth)
@@ -327,8 +352,14 @@ class _TailPrograms:
             except KeyError:
                 found = self.keys[key] = self._settle(stack, tail, shown)
             if found is not None:
-                return values, found
+                break
             shown += 1
+        top, program, program_key = found
+        out = tuple(out)
+        bottom = tuple(top_down[top:])
+        if skip is not None and _holds_on_a_tail_word(skip, out, tail, bottom):
+            return None
+        return values, out, bottom, program, program_key
 
     def _settle(
         self, stack: list[int], tail: list[int], shown: int
@@ -355,6 +386,15 @@ class _TailPrograms:
                 program.append(self.getters[picks])
             self.programs[key] = tuple(program)
         return top, self.programs[key], key
+
+
+def _holds_on_a_tail_word(
+    skip: Callable, out: tuple[int, ...], tail: list[int], bottom: tuple[int, ...]
+) -> bool:
+    """Does ``skip`` hold on ``out + (t,) + bottom`` for some tail value t?
+    Each t comes out after the head's output and before its frozen bottom,
+    so every image of the head holds that word as a subsequence."""
+    return any(map(skip, [out + (t,) + bottom for t in tail]))
 
 
 def _multiplicity_classes(program: tuple) -> tuple[tuple[int, tuple], ...]:

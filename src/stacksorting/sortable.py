@@ -10,7 +10,10 @@ up each image it reaches in Av_n(231), built once per call.  That scan need
 not reach every image.  Every image under a fed prefix of a permutation
 holds the prefix's output followed by its stack read top-down as a
 subsequence.  When that word contains 231, no image under the prefix is
-sortable, and the scan's walk cuts it, down to the heads.  Both counts are
+sortable, and the scan's walk cuts it, down to the heads.  A head whose
+tails run as stored programs is dropped too when one of its tail words (its
+output, a tail value, then the frozen bottom of its stack top-down, see
+``scan``) contains 231, before any image of it is built.  Both counts are
 order-free, so they fold the weighted batches of ``scan_reduce``: where the
 tails run as stored programs, each distinct image of a head is built and
 looked up once, and counted as many times as orders of its tail give it.
@@ -22,7 +25,8 @@ exactly when SC_sigma(pi) avoids 213, the complement of 231, and one scan of
 S_n counts the sortable sets of both machines (``count_sortable_pair``,
 behind ``reproduce sortable``).  It looks up each image in one dict over
 Av_n(231) and Av_n(213), 2 C_n - 2^(n-1) entries (33,080 at n = 10), and
-skips only the heads whose forced word contains both 231 and 213.
+skips only the heads whose forced word, or one of whose tail words, contains
+both 231 and 213.
 """
 
 from __future__ import annotations
@@ -135,9 +139,10 @@ def count_sortable_pair(
     partition-parallel when jobs > 1.
 
     The scan cuts each prefix, down to its heads, whose forced word (see
-    ``scan``) contains both 231 and 213, as no image under it avoids either.
-    Each distinct image left of a head (see ``scan_batches``) is looked up
-    once in a dict over Av_n(231) and Av_n(213), built for the call
+    ``scan``) contains both 231 and 213, as no image under it avoids either,
+    and each program head one of whose tail words does.  Each distinct image
+    left of a head (see ``scan_batches``) is looked up once in a dict over
+    Av_n(231) and Av_n(213), built for the call
     (2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1) permutations avoid
     both; 33,080 at n = 10), and counted the weight of its batch times.
     """
@@ -168,8 +173,9 @@ def count_sortable(
     """|{p in S_n : sortable}|; partition-parallel when jobs > 1.
 
     The scan cuts each prefix, down to its heads, whose forced word (see
-    ``scan``) contains 231, as no image under it is sortable.  Each distinct
-    image left of a head (see ``scan_batches``) is looked up once in
+    ``scan``) contains 231, as no image under it is sortable, and each
+    program head one of whose tail words does.  Each distinct image left
+    of a head (see ``scan_batches``) is looked up once in
     Av_n(231), built for the call (C_n entries, 16,796 at n = 10), and
     counted the weight of its batch times.
     """

@@ -428,7 +428,10 @@ class TestScan:
         # where the tails run as stored programs (SC231 once seven entries
         # follow the prefix, so that the head after it holds the two entries
         # a push reads), the head is all but the last five entries, and a
-        # permutation is dropped when the image of its head contains 312.
+        # permutation is dropped when the image of its head contains 312, or
+        # else when one of the head's tail words does: its output, then a
+        # tail value, then the stack below the top entries that the programs
+        # read (the reach, and the window less one below it), top-down.
         # Elsewhere the head is all but the last four entries, or the prefix
         # when longer, and it is dropped when the image of its head or, when
         # four entries follow the head, of the head and one entry more does.
@@ -443,31 +446,46 @@ class TestScan:
         seen = set()
         for spec in (SC231, classical_machine((1, 3, 2, 4)), machine_of([vincular((2, 3, 1), (1,))])):
             consecutive = all(p.is_consecutive for p in spec.forbidden)
-            for n in range(max(prefix, default=0), 8):
+            feed = _compiled_feed(spec.forbidden)
+            # SC231 also at the first n whose heads hold three entries past
+            # the prefix, where the tail words hold up to four entries
+            for n in range(max(prefix, default=0), len(prefix) + 9 if consecutive else 8):
                 programs = consecutive and n - len(prefix) >= 7
                 head = n - 5 if programs else max(n - 4, len(prefix))
                 depths = (0, 1) if not programs and n - head == 4 else (0,)
                 depths = [d for d in depths if head + d > len(prefix)]
+                rest = [v for v in range(1, n + 1) if v not in prefix]
                 kept = []
-                for p in all_permutations(n):
-                    if p[:len(prefix)] != prefix:
-                        continue
+                for q in itertools.permutations(rest):
+                    p = prefix + q
                     dropped_at = next((d for d in depths if skip(run(spec, p[:head + d]))), None)
+                    if dropped_at is None and programs:
+                        stack, out = [], []
+                        feed(stack, out, p[:head])
+                        tail = sorted(p[head:])
+                        top = min(_reach(feed, stack, tail, 2) + 1, len(stack))
+                        below = stack[:len(stack) - top][::-1]
+                        if any(skip(out + [t] + below) for t in tail):
+                            dropped_at = "tail"
                     seen.add(dropped_at)
                     if dropped_at is None:
                         kept.append(run(spec, p))
-                assert list(scan(spec, n, prefix, skip)) == kept
-        assert seen == {None, 0, 1}
+                assert list(scan(spec, n, prefix, skip)) == kept, n
+        # after 31 the programs first run at n = 9, where every head's own
+        # image already holds 312, so no tail word is left to drop one
+        assert seen == ({None, 0, 1} if prefix == (3, 1) else {None, 0, 1, "tail"})
 
     @pytest.mark.parametrize("spec, lengths", [
-        (SC231, {2, 3}),
+        (SC231, {1, 2, 3}),
         (classical_machine((1, 3, 2, 4)), {2, 3, 4, 5}),
     ], ids=["consecutive-231", "classical-1324"])
     def test_skip_sees_every_depth_above_the_head(self, spec, lengths):
         # after the prefix 1 at n = 8, SC231 runs its stored programs under
         # heads of two more entries, and the classical machine feeds the
         # tails under heads of four; the walk tests every state past the
-        # prefix down to the head
+        # prefix down to the head.  Each program head's tail words follow:
+        # its output, one tail value and the stack below the top entries its
+        # programs read, as short as one entry when those are the whole stack
         seen = set()
 
         def skip(word):

@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from functools import partial
 from math import factorial
 
 import pytest
@@ -10,7 +12,7 @@ from conftest import (
     dyck_words,
     every_machine_shape,
 )
-from stacksorting import sortable
+from stacksorting import machine, sortable
 from stacksorting.bounds import ResourceBoundError
 from stacksorting.machine import (
     classical_machine,
@@ -62,6 +64,9 @@ SC132 = consecutive_machine((1, 3, 2))
 SC123 = consecutive_machine((1, 2, 3))
 SC321 = consecutive_machine((3, 2, 1))
 CLASSIC = classical_machine((2, 1))
+CONSECUTIVE_SHAPES = [
+    spec for spec in every_machine_shape() if all(p.is_consecutive for p in spec.forbidden)
+]
 # the shapes with bodies of length <= 3, but for the six consecutive machines
 # of length 3, which the tests at n = 8 run on their own
 SHORT_SHAPES = [
@@ -238,6 +243,44 @@ class TestCounts:
         monkeypatch.setattr(sortable, "_membership_weights", no_weights)
         assert count_sortable(SC231, 9) == pair[0] == count_sortable_reference(SC231, 9)
         assert folded["_count_members"] < folded["_weigh"] < factorial(9)
+
+    @pytest.mark.parametrize("spec, n", [
+        *(pytest.param(spec, 8, id=f"{spec}-n8") for spec in CONSECUTIVE_SHAPES),
+        *(pytest.param(consecutive_machine(body), 9, id=f"{consecutive_machine(body)}-n9")
+          for body in [(1, 4, 3, 2), (2, 4, 1, 3), (4, 3, 2, 1)]),
+    ])
+    def test_tail_words_drop_no_image_the_skip_would_keep(self, spec, n):
+        # at n = 8 the length-2 and length-3 machines run programs on every
+        # first-entry partition, and the length-4 ones feed their tails; at
+        # n = 9 those three run programs.  Whatever the walk and the tail
+        # words drop, the skip holds on, and they drop nothing else
+        for first in range(1, n + 1):
+            images = Counter(scan(spec, n, (first,)))
+            for skip in (sortable._contains_231, partial(sortable._holds_231_and_213, n + 1)):
+                kept = Counter(scan(spec, n, (first,), skip))
+                assert not kept - images
+                assert all(map(skip, images - kept)), (first, skip)
+        assert count_sortable(spec, n) == count_sortable_reference(spec, n)
+
+    def test_tail_words_fire(self, monkeypatch):
+        # SC_231 at n = 9 builds 145,491 images where only the forced words
+        # of the walk's states cut, and 84,863 once the tail words of each
+        # program head drop it too
+        built = []
+
+        def recording(members, batches):
+            batches = [(weight, list(images)) for weight, images in batches]
+            built.append(sum(len(images) for _, images in batches))
+            return count(members, batches)
+
+        count = sortable._count_members
+        monkeypatch.setattr(sortable, "_count_members", recording)
+        expected = count_sortable_reference(SC231, 9)
+        assert count_sortable(SC231, 9) == expected
+        with monkeypatch.context() as m:
+            m.setattr(machine, "_holds_on_a_tail_word", lambda *args: False)
+            assert count_sortable(SC231, 9) == expected
+        assert len(built) == 18 and sum(built[:9]) < sum(built[9:])
 
     def test_members_resource_bound_is_eager(self):
         # raised by the call itself, before any member is asked for
