@@ -24,6 +24,8 @@ the prefix, so each machine keeps one store for the whole process, and every
 scan of it adds to the same one.  Many orders of a tail pick the same values,
 so the order-free folds of ``scan_reduce`` read ``scan_batches`` instead:
 each distinct image of a head once, weighted by how many orders give it.
+Only there may a fold drop the states and heads whose images all hold a
+word it rules out; ``scan`` yields every image, each at its position.
 """
 
 from __future__ import annotations
@@ -131,9 +133,7 @@ _SUFFIX = 4
 _PROGRAM_TAIL = 5
 
 
-def scan(
-    spec: MachineSpec, n: int, prefix: Sequence[int] = (), skip: Callable | None = None
-) -> Iterator[Perm]:
+def scan(spec: MachineSpec, n: int, prefix: Sequence[int] = ()) -> Iterator[Perm]:
     """The image of every permutation of [n] starting with ``prefix``, in the
     lexicographic order of the permutations: the i-th image is that of the
     i-th permutation of ``all_permutations`` with that prefix.
@@ -148,6 +148,27 @@ def scan(
     ``itemgetter`` call each, in the one store that every scan of the machine
     shares.  ``scan_batches`` walks the same heads for order-free folds.
 
+    >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
+    [(1, 2, 3), (2, 1, 3)]
+    """
+    feed, programs, heads = _heads(spec, n, prefix, None)
+    if programs is None:
+        return _fed_images(feed, heads)
+    return itertools.chain.from_iterable(itertools.starmap(programs.images, heads))
+
+
+def scan_batches(
+    spec: MachineSpec, n: int, prefix: Sequence[int] = (), skip: Callable | None = None
+) -> Iterator[tuple[int, Iterable[Perm]]]:
+    """The images of ``scan(spec, n, prefix)`` as ``(weight, images)``
+    batches, each image standing for ``weight`` of them, in no set order.
+
+    Where the tails run as stored programs, each head gives one batch per
+    multiplicity class of its program: a list of the distinct images that
+    ``weight`` orders of its tail each give.  Otherwise the whole scan is
+    one batch of weight 1.  A permutation's image is counted with its
+    weight, so only order-free folds may read the batches.
+
     With ``skip``, the walk tests every state past the prefix on its forced
     word: its output followed by its stack read top-down, which every image
     under it holds as a subsequence, since the output is fixed and the stack
@@ -160,32 +181,9 @@ def scan(
     holds is dropped before any image is built.  ``skip`` must be
     upward-closed (a word holding one that passes passes too): each state's
     word holds its parent's, so a cut above the head drops only heads that
-    would pass themselves.  The positions above no longer hold, and only
-    order-free folds may pass ``skip``.
-
-    >>> list(scan(consecutive_machine((2, 1)), 3, (2,)))  # of 213 and 231
-    [(1, 2, 3), (2, 1, 3)]
-    """
-    feed, programs, heads = _heads(spec, n, prefix, skip)
-    if programs is None:
-        return _fed_images(feed, heads)
-    images = programs.images if skip is None else partial(programs.images, skip=skip)
-    return itertools.chain.from_iterable(itertools.starmap(images, heads))
-
-
-def scan_batches(
-    spec: MachineSpec, n: int, prefix: Sequence[int] = (), skip: Callable | None = None
-) -> Iterator[tuple[int, Iterable[Perm]]]:
-    """The images of ``scan(spec, n, prefix, skip)`` as ``(weight, images)``
-    batches, each image standing for ``weight`` of them, in no set order.
-
-    Where the tails run as stored programs, each head gives one batch per
-    multiplicity class of its program: a list of the distinct images that
-    ``weight`` orders of its tail each give.  Otherwise the whole scan is
-    one batch of weight 1.  A permutation's image is counted with its
-    weight, so only order-free folds may read the batches.  ``skip`` drops
-    the same states and program heads as in ``scan``, tail words included,
-    so the batches still expand to its images.
+    would pass themselves, and every image dropped holds a word that passes.
+    The batches left then hold every image on which ``skip`` fails, so an
+    order-free fold that counts only those may pass it.
 
     >>> batches = list(scan_batches(consecutive_machine((2, 3, 1)), 8, (1,)))
     >>> sum(weight * len(images) for weight, images in batches)  # 7!
@@ -267,52 +265,39 @@ class _TailPrograms:
     window of them first, which settle whether the top entry can be popped,
     and one more each time the entries shown leave the reach open.  Every
     tail holds _PROGRAM_TAIL entries, so a key's length tells how many are
-    shown.  A key met first takes its head's reach and the programs of the
+    shown.  A key met first takes its head's reach and the program of the
     order type that it settles, which are built on their first use by feeding
     the tail in each order.  The programs are ``itemgetter``s, shared between
     order types, since most heads of a scan share a few of them.  No key,
     reach or program depends on n, the prefix or the head's output, so all
-    four dicts live as long as the process: ``_tail_programs`` keeps one
+    three dicts live as long as the process: ``_tail_programs`` keeps one
     store per machine, and each ``--jobs`` worker its own, carried from one
     partition to the next.
 
     Each program is the ordered tuple of _PROGRAM_TAIL! getters, one per
-    order of the tail, behind ``images`` and so ``scan``.  ``batches`` reads
-    the same program grouped by multiplicity, ``((m, getters), ...)``, each
-    distinct getter once with the number m of orders that take it; the
-    groups are built on a program's first batch, not with the program.
-    This is exact: equal picks are one shared getter, and distinct picks
-    from distinct values give distinct images.
-
-    Given a ``skip``, ``images`` and ``batches`` first test it on the
-    head's tail words, one per tail value t: the head's output, t, then its
-    frozen bottom, the entries below the top ones its programs read,
-    top-down.  Every image of the head holds each of them, so a head on
-    whose tail word the upward-closed ``skip`` holds gives no image, and
-    none is built.
+    order of the tail, behind ``images`` and so ``scan``.  It is stored with
+    its multiplicity classes, ``((m, getters), ...)``, each distinct getter
+    once with the number m of orders that take it, behind ``batches`` and so
+    ``scan_batches``.  This is exact: equal picks are one shared getter, and
+    distinct picks from distinct values give distinct images.  ``batches``
+    alone takes a ``skip``, tested on the head's tail words (see
+    ``scan_batches``).
     """
 
     def __init__(self, feed: Callable, window: int):
         self.feed = feed
         self.window = window
-        # order type shown -> (top entries read, programs, their key), or None
-        # to show one more
+        # order type shown -> (top entries read, program, its multiplicity
+        # classes), or None to show one more
         self.keys: dict[tuple, tuple[int, tuple, tuple] | None] = {}
-        self.programs: dict[tuple, tuple] = {}
+        # order type settled -> (program, its multiplicity classes)
+        self.programs: dict[tuple, tuple[tuple, tuple]] = {}
         self.getters: dict[tuple[int, ...], Callable] = {}
-        # the programs' key -> their multiplicity classes, built for batches only
-        self.classes: dict[tuple, tuple] = {}
 
-    def images(
-        self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None = None
-    ) -> list[Perm]:
+    def images(self, stack: list[int], out: list[int], tail: list[int]) -> list[Perm]:
         """The image of each order of ``tail`` fed after the head state
-        (``stack``, ``out``), in lexicographic order; ``tail`` is sorted.
-        Empty when ``skip`` holds on a tail word of the head."""
-        head = self._lookup(stack, out, tail, skip)
-        if head is None:
-            return []
-        values, out, bottom, program, _ = head
+        (``stack``, ``out``), in lexicographic order; ``tail`` is sorted."""
+        values, out, bottom, program, _ = self._lookup(stack, out, tail)
         if bottom:
             return [out + get(values) + bottom for get in program]
         return [out + get(values) for get in program]
@@ -321,26 +306,22 @@ class _TailPrograms:
         self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None = None
     ) -> list[tuple[int, list[Perm]]]:
         """The images of ``images`` as ``(weight, distinct images)``, one pair
-        per multiplicity class of the head's program."""
-        head = self._lookup(stack, out, tail, skip)
-        if head is None:
+        per multiplicity class of the head's program; none when ``skip``
+        holds on a tail word of the head."""
+        values, out, bottom, _, classes = self._lookup(stack, out, tail)
+        if skip is not None and _holds_on_a_tail_word(skip, out, tail, bottom):
             return []
-        values, out, bottom, program, key = head
-        try:
-            classes = self.classes[key]
-        except KeyError:
-            classes = self.classes[key] = _multiplicity_classes(program)
         if bottom:
             return [(m, [out + get(values) + bottom for get in getters]) for m, getters in classes]
         return [(m, [out + get(values) for get in getters]) for m, getters in classes]
 
     def _lookup(
-        self, stack: list[int], out: list[int], tail: list[int], skip: Callable | None
-    ) -> tuple[tuple, tuple, tuple, tuple, tuple] | None:
+        self, stack: list[int], out: list[int], tail: list[int]
+    ) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         """The values a head's programs pick from (its tail, then its top
         entries), its output, the frozen bottom of its stack below the top
-        entries its images read (top-down), its programs and their key; None
-        when ``skip`` holds on a tail word of the head."""
+        entries its images read (top-down), its program and the program's
+        multiplicity classes."""
         top_down = stack[::-1]
         depth = len(stack)
         shown = min(self.window, depth)
@@ -354,19 +335,15 @@ class _TailPrograms:
             if found is not None:
                 break
             shown += 1
-        top, program, program_key = found
-        out = tuple(out)
-        bottom = tuple(top_down[top:])
-        if skip is not None and _holds_on_a_tail_word(skip, out, tail, bottom):
-            return None
-        return values, out, bottom, program, program_key
+        top, program, classes = found
+        return values, tuple(out), tuple(top_down[top:]), program, classes
 
     def _settle(
         self, stack: list[int], tail: list[int], shown: int
     ) -> tuple[int, tuple, tuple] | None:
         """How many top entries of ``stack`` the images of its tail depend on,
-        their programs and the programs' key; None when ``shown`` entries do
-        not settle that."""
+        their program and its multiplicity classes; None when ``shown``
+        entries do not settle that."""
         depth = len(stack)
         top = min(_reach(self.feed, stack, tail, self.window) + self.window - 1, depth)
         if shown < depth and top >= shown:
@@ -384,8 +361,8 @@ class _TailPrograms:
                 if picks not in self.getters:
                     self.getters[picks] = itemgetter(*picks)
                 program.append(self.getters[picks])
-            self.programs[key] = tuple(program)
-        return top, self.programs[key], key
+            self.programs[key] = tuple(program), _multiplicity_classes(program)
+        return (top, *self.programs[key])
 
 
 def _holds_on_a_tail_word(
@@ -509,9 +486,8 @@ def _partition_results(
 ) -> Iterator:
     prefixes = [(first,) for first in range(1, n + 1)] or [()]
     if jobs > 1 and n >= 2:
-        initargs = (reduce,) if skip is None else (reduce, skip)
         with ProcessPoolExecutor(
-            max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=initargs
+            max_workers=min(jobs, n), initializer=_set_worker_reduce, initargs=(reduce, skip)
         ) as pool:
             yield from pool.map(_reduce_partition, [(spec, n, p) for p in prefixes])
     else:
@@ -523,7 +499,7 @@ _worker_reduce: Callable | None = None
 _worker_skip: Callable | None = None
 
 
-def _set_worker_reduce(reduce: Callable, skip: Callable | None = None) -> None:
+def _set_worker_reduce(reduce: Callable, skip: Callable | None) -> None:
     global _worker_reduce, _worker_skip
     _worker_reduce, _worker_skip = reduce, skip
 

@@ -6,17 +6,19 @@ yields the identity (Knuth, TAOCP Vol. 1, 2.2.1).  Those outputs are
 Catalan-many, C_n of them (16,796 at n = 10).
 
 ``count_sortable`` runs a scan of its own, not the pair's below, and looks
-up each image it reaches in Av_n(231), built once per call.  That scan need
-not reach every image.  Every image under a fed prefix of a permutation
-holds the prefix's output followed by its stack read top-down as a
-subsequence.  When that word contains 231, no image under the prefix is
-sortable, and the scan's walk cuts it, down to the heads.  A head whose
+up each image it reaches in Av_n(231), built once per call as a dict of
+weight 1, the 231 half of the pair's weights.  That scan need not reach
+every image.  Every image under a fed prefix of a permutation holds the
+prefix's output followed by its stack read top-down as a subsequence.  When
+that word contains 231, no image under the prefix is sortable, and the
+scan's walk cuts it, down to the heads.  A head whose
 tails run as stored programs is dropped too when one of its tail words (its
 output, a tail value, then the frozen bottom of its stack top-down, see
-``scan``) contains 231, before any image of it is built.  Both counts are
-order-free, so they fold the weighted batches of ``scan_reduce``: where the
-tails run as stored programs, each distinct image of a head is built and
-looked up once, and counted as many times as orders of its tail give it.
+``scan_batches``) contains 231, before any image of it is built.  Both
+counts are order-free, so they fold the weighted batches of ``scan_reduce``
+with one fold, ``_weigh``: where the tails run as stored programs, each
+distinct image of a head is built and looked up once, and counted as many
+times as orders of its tail give it.
 
 Complementing every value conjugates the machines: with sigma^c the machine
 whose forbidden bodies are complemented (adjacency unchanged),
@@ -35,7 +37,6 @@ import enum
 import functools
 import itertools
 from math import factorial
-from operator import countOf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds
@@ -139,12 +140,12 @@ def count_sortable_pair(
     partition-parallel when jobs > 1.
 
     The scan cuts each prefix, down to its heads, whose forced word (see
-    ``scan``) contains both 231 and 213, as no image under it avoids either,
-    and each program head one of whose tail words does.  Each distinct image
-    left of a head (see ``scan_batches``) is looked up once in a dict over
-    Av_n(231) and Av_n(213), built for the call
-    (2 C_n - 2^(n-1) entries for n >= 1, as 2^(n-1) permutations avoid
-    both; 33,080 at n = 10), and counted the weight of its batch times.
+    ``scan_batches``) contains both 231 and 213, as no image under it
+    avoids either, and each program head one of whose tail words does.
+    Each distinct image left of a head is looked up once in a dict over
+    Av_n(231) and Av_n(213), built for the call (2 C_n - 2^(n-1) entries
+    for n >= 1, as 2^(n-1) permutations avoid both; 33,080 at n = 10), and
+    counted the weight of its batch times by ``_weigh``.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
     weigh = functools.partial(_weigh, _membership_weights(n))
@@ -152,13 +153,6 @@ def count_sortable_pair(
     total = sum(scan_reduce(spec, n, weigh, jobs, dead))
     complement_count, count = divmod(total, factorial(n) + 1)
     return count, complement_count
-
-
-def _count_members(
-    members: frozenset[Perm], batches: Iterable[tuple[int, Iterable[Perm]]]
-) -> int:
-    member = members.__contains__
-    return sum(m * countOf(map(member, images), True) for m, images in batches)
 
 
 def _contains_231(word: Sequence[int]) -> bool:
@@ -173,15 +167,15 @@ def count_sortable(
     """|{p in S_n : sortable}|; partition-parallel when jobs > 1.
 
     The scan cuts each prefix, down to its heads, whose forced word (see
-    ``scan``) contains 231, as no image under it is sortable, and each
-    program head one of whose tail words does.  Each distinct image left
-    of a head (see ``scan_batches``) is looked up once in
-    Av_n(231), built for the call (C_n entries, 16,796 at n = 10), and
-    counted the weight of its batch times.
+    ``scan_batches``) contains 231, as no image under it is sortable, and
+    each program head one of whose tail words does.  Each distinct image
+    left of a head is looked up once in Av_n(231), built for the call as a
+    dict of weight 1 (C_n entries, 16,796 at n = 10), and counted the
+    weight of its batch times by ``_weigh``, the pair's fold.
     """
     bounds.check_scan_bound(n, max_n, "count_sortable")
-    count = functools.partial(_count_members, _avoiders_231(n))
-    return sum(scan_reduce(spec, n, count, jobs, _contains_231))
+    weigh = functools.partial(_weigh, dict.fromkeys(_avoiders_231(n), 1))
+    return sum(scan_reduce(spec, n, weigh, jobs, _contains_231))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 from contextlib import contextmanager
 from operator import countOf
 from typing import Sequence
@@ -62,6 +63,15 @@ def no_scan(monkeypatch):
 
 
 # --- shared machines -------------------------------------------------------
+
+def _expanded(batches):
+    """The tally of ``scan_batches``' batches, each image counted weight times."""
+    tally = Counter()
+    for weight, images in batches:
+        for image in images:
+            tally[image] += weight
+    return tally
+
 
 def every_machine_shape():
     """Every body of length 2 to 4 in all three modes, and the {123, 321} pair.

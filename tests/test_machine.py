@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import stacksorting
 from stacksorting import machine
 from conftest import (
+    _expanded,
     _push_blocked_reference,
     complement_machine,
     contains_reference,
@@ -36,6 +37,7 @@ from stacksorting.machine import (
     rank,
     run,
     scan,
+    scan_batches,
     scan_reduce,
     stack_sort,
     trace,
@@ -295,7 +297,14 @@ class TestScan:
             for first in range(1, n + 1):
                 assert list(scan(spec, n, (first,))) == expected[(first - 1) * block:first * block]
         programs = machine._tail_programs(spec).programs
-        assert programs and all(len(program) == factorial(5) for program in programs.values())
+        assert programs
+        for program, classes in programs.values():
+            # the classes hold each distinct getter once, with how many of
+            # the 5! orders take it
+            assert len(program) == factorial(5)
+            assert Counter(program) == Counter(
+                {get: m for m, getters in classes for get in getters})
+            assert sum(m * len(getters) for m, getters in classes) == factorial(5)
 
     @pytest.mark.parametrize("spec", [consecutive_machine((1, 2, 3), (3, 2, 1)), SC231, SC132],
                              ids=str)
@@ -408,7 +417,7 @@ class TestScan:
     def test_reducer_goes_to_each_worker_once(self, recording_pool):
         # the tasks name only the partition; the reducer rides in initargs
         parts = list(scan_reduce(SC231, 4, _expanded, jobs=2))
-        assert recording_pool["initargs"] == [(_expanded,)]
+        assert recording_pool["initargs"] == [(_expanded, None)]
         assert recording_pool["tasks"] == [[(SC231, 4, (first,)) for first in range(1, 5)]]
         assert sum(parts, Counter()) == image_tally(SC231, 4)
 
@@ -439,7 +448,8 @@ class TestScan:
         # no more, since every word holding one that contains 312 contains
         # 312 too (231 would do as well, but no head after 31 holds it at
         # n < 8).  The prefix itself is where the walk starts and is not
-        # tested, though a length-0 head after it once was.
+        # tested, though a length-0 head after it once was.  The batches,
+        # expanded, hold the images of the permutations kept.
         def skip(word):
             return contains(word, classical((3, 1, 2)))
 
@@ -470,7 +480,7 @@ class TestScan:
                     seen.add(dropped_at)
                     if dropped_at is None:
                         kept.append(run(spec, p))
-                assert list(scan(spec, n, prefix, skip)) == kept, n
+                assert _expanded(scan_batches(spec, n, prefix, skip)) == Counter(kept), n
         # after 31 the programs first run at n = 9, where every head's own
         # image already holds 312, so no tail word is left to drop one
         assert seen == ({None, 0, 1} if prefix == (3, 1) else {None, 0, 1, "tail"})
@@ -492,21 +502,21 @@ class TestScan:
             seen.add(len(word))
             return False
 
-        assert list(scan(spec, 8, (1,), skip)) == list(scan(spec, 8, (1,)))
+        assert _expanded(scan_batches(spec, 8, (1,), skip)) == Counter(scan(spec, 8, (1,)))
         assert seen == lengths
 
     def test_skip_goes_to_each_worker_beside_the_reducer(self, recording_pool):
-        def skip(word):  # upward-closed, as scan requires
+        def skip(word):  # upward-closed, as scan_batches requires
             return contains(word, classical((3, 1, 2)))
 
         parts = list(scan_reduce(SC231, 7, _expanded, jobs=2, skip=skip))
         assert parts == list(scan_reduce(SC231, 7, _expanded, skip=skip))
-        assert parts == [Counter(scan(SC231, 7, (first,), skip)) for first in range(1, 8)]
+        assert parts == [_expanded(scan_batches(SC231, 7, (first,), skip)) for first in range(1, 8)]
         assert sum(parts, Counter()) != image_tally(SC231, 7)
         # a later pool with no skip scans every head again
         assert list(scan_reduce(SC231, 7, _expanded, jobs=2)) == [
             Counter(scan(SC231, 7, (first,))) for first in range(1, 8)]
-        assert recording_pool["initargs"] == [(_expanded, skip), (_expanded,)]
+        assert recording_pool["initargs"] == [(_expanded, skip), (_expanded, None)]
         assert recording_pool["tasks"] == [[(SC231, 7, (first,)) for first in range(1, 8)]] * 2
 
     @pytest.mark.parametrize("spec, n, prefixes", [
@@ -519,31 +529,24 @@ class TestScan:
         # the length-2 and length-3 machines run programs on every first-entry
         # partition and the length-4 ones feed their tails as one batch, and
         # SC_1432 runs programs over all of S_9
-        def skip(word):  # upward-closed, as scan requires
+        def skip(word):  # upward-closed, as scan_batches requires
             return contains(word, classical((3, 1, 2)))
 
         for prefix in prefixes:
-            for cut in (None, skip):
-                assert _expanded(machine.scan_batches(spec, n, prefix, cut)) == Counter(
-                    scan(spec, n, prefix, cut)), (prefix, cut)
+            images = Counter(scan(spec, n, prefix))
+            assert _expanded(scan_batches(spec, n, prefix)) == images, prefix
+            # the skip drops only images it holds on, and so keeps every other
+            kept = _expanded(scan_batches(spec, n, prefix, skip))
+            assert not kept - images and all(map(skip, images - kept)), prefix
 
     def test_batches_build_each_distinct_tail_image_once(self):
         # under SC_231 at n = 9 some orders of a head's tail give one image,
         # which a batch builds once and weighs by how many orders give it
-        batches = [(weight, list(images)) for weight, images in machine.scan_batches(SC231, 9)]
+        batches = [(weight, list(images)) for weight, images in scan_batches(SC231, 9)]
         built = sum(len(images) for _, images in batches)
         weighed = sum(weight * len(images) for weight, images in batches)
         assert max(weight for weight, _ in batches) > 1
         assert built < weighed == factorial(9)
-
-
-def _expanded(batches):
-    """The tally of ``scan_batches``' batches, each image counted weight times."""
-    tally = Counter()
-    for weight, images in batches:
-        for image in images:
-            tally[image] += weight
-    return tally
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    _expanded,
     complement_machine,
     count_sortable_reference,
     dyck_words,
@@ -19,6 +20,7 @@ from stacksorting.machine import (
     consecutive_machine,
     run,
     scan,
+    scan_batches,
     stack_sort,
 )
 from stacksorting.permutations import (
@@ -222,27 +224,28 @@ class TestCounts:
 
     def test_single_count_prunes_on_231_alone(self, monkeypatch):
         # count_sortable skips every head whose forced word holds 231, more
-        # than the pair, which needs both 231 and 213, and builds no pair dict
-        folded = {}
+        # than the pair, which needs both 231 and 213, and builds no pair
+        # dict.  Both fold through _weigh, told apart by their dicts: C_9
+        # entries for the single count, 2 C_9 - 2^8 for the pair
+        folded = Counter()
 
-        def recording(fold):
-            def record(table, batches):
-                # the images weighed, each image of a batch weight times
-                batches = [(weight, list(images)) for weight, images in batches]
-                weighed = sum(weight * len(images) for weight, images in batches)
-                folded[fold.__name__] = folded.get(fold.__name__, 0) + weighed
-                return fold(table, batches)
-            return record
+        def record(weights, batches):
+            # the images weighed, each image of a batch weight times
+            batches = [(weight, list(images)) for weight, images in batches]
+            folded[len(weights)] += sum(weight * len(images) for weight, images in batches)
+            return weigh(weights, batches)
 
         def no_weights(n):
             raise AssertionError("built the pair's weights")
 
-        for name in ("_count_members", "_weigh"):
-            monkeypatch.setattr(sortable, name, recording(getattr(sortable, name)))
+        weigh = sortable._weigh
+        monkeypatch.setattr(sortable, "_weigh", record)
         pair = count_sortable_pair(SC231, 9)
         monkeypatch.setattr(sortable, "_membership_weights", no_weights)
         assert count_sortable(SC231, 9) == pair[0] == count_sortable_reference(SC231, 9)
-        assert folded["_count_members"] < folded["_weigh"] < factorial(9)
+        single, both = catalan(9), 2 * catalan(9) - 2 ** 8
+        assert set(folded) == {single, both}
+        assert folded[single] < folded[both] < factorial(9)
 
     @pytest.mark.parametrize("spec, n", [
         *(pytest.param(spec, 8, id=f"{spec}-n8") for spec in CONSECUTIVE_SHAPES),
@@ -257,7 +260,7 @@ class TestCounts:
         for first in range(1, n + 1):
             images = Counter(scan(spec, n, (first,)))
             for skip in (sortable._contains_231, partial(sortable._holds_231_and_213, n + 1)):
-                kept = Counter(scan(spec, n, (first,), skip))
+                kept = _expanded(scan_batches(spec, n, (first,), skip))
                 assert not kept - images
                 assert all(map(skip, images - kept)), (first, skip)
         assert count_sortable(spec, n) == count_sortable_reference(spec, n)
@@ -268,13 +271,13 @@ class TestCounts:
         # program head drop it too
         built = []
 
-        def recording(members, batches):
+        def recording(weights, batches):
             batches = [(weight, list(images)) for weight, images in batches]
             built.append(sum(len(images) for _, images in batches))
-            return count(members, batches)
+            return weigh(weights, batches)
 
-        count = sortable._count_members
-        monkeypatch.setattr(sortable, "_count_members", recording)
+        weigh = sortable._weigh
+        monkeypatch.setattr(sortable, "_weigh", recording)
         expected = count_sortable_reference(SC231, 9)
         assert count_sortable(SC231, 9) == expected
         with monkeypatch.context() as m:

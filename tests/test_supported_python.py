@@ -3,7 +3,9 @@
 
 This parses each module with that version's grammar and rejects the one
 newer standard-library name the code has reached for (``operator.call``,
-new in 3.11); it is not a run under that interpreter.
+new in 3.11); it is not a run under that interpreter.  It also rejects any
+``assert`` statement there: ``python -O`` strips them, so a check that
+matters must raise or live in the tests.
 """
 
 import ast
@@ -39,6 +41,11 @@ def operator_call_uses(tree: ast.AST) -> list[int]:
     )
 
 
+def assert_lines(tree: ast.AST) -> list[int]:
+    """The lines of the ``assert`` statements, which ``python -O`` strips."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
 def test_minimum_is_310():
     assert declared_minimum() == (3, 10)
 
@@ -56,3 +63,14 @@ def test_the_guard_sees_operator_call():
     assert not operator_call_uses(ast.parse("from operator import itemgetter\nf.call()"))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert assert_lines(tree) == [], f"assert vanishes under python -O: {path.name}"
+
+
+def test_the_guard_sees_assert():
+    assert assert_lines(ast.parse("x = 1\nif x:\n    assert x, 'no'")) == [3]
+    assert not assert_lines(ast.parse("def f(x):\n    if not x:\n        raise ValueError(x)"))
